@@ -1,7 +1,6 @@
 #include "check/threaded_check.h"
 
 #include <cstdio>
-#include <map>
 #include <sstream>
 
 #include "distributed/deployment.h"
@@ -35,59 +34,6 @@ uint64_t HashRows(const std::vector<std::string>& rows) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-/// DeployQueryLocal for the threaded runtime: same progressive wiring (an
-/// arc out of a box can only be connected once the box's output schema is
-/// known), targeting a ThreadedEngine.
-Status DeployQueryThreaded(ThreadedEngine* engine, const GlobalQuery& query) {
-  for (const auto& in : query.inputs()) {
-    AURORA_RETURN_NOT_OK(engine->AddInput(in.name, in.schema).status());
-  }
-  std::map<std::string, BoxId> boxes;
-  for (const auto& box : query.boxes()) {
-    AURORA_ASSIGN_OR_RETURN(BoxId id, engine->AddBox(box.spec));
-    boxes[box.name] = id;
-  }
-  for (const auto& out : query.outputs()) {
-    AURORA_RETURN_NOT_OK(engine->AddOutput(out).status());
-  }
-  std::vector<bool> wired(query.arcs().size(), false);
-  size_t remaining = query.arcs().size();
-  while (remaining > 0) {
-    size_t progressed = 0;
-    for (size_t i = 0; i < query.arcs().size(); ++i) {
-      if (wired[i]) continue;
-      const auto& arc = query.arcs()[i];
-      Endpoint src_ep;
-      if (arc.from_kind == GlobalQuery::ArcDef::FromKind::kInput) {
-        AURORA_ASSIGN_OR_RETURN(PortId port, engine->FindInput(arc.from));
-        src_ep = Endpoint::InputPort(port);
-      } else {
-        BoxId box = boxes.at(arc.from);
-        if (!engine->IsBoxInitialized(box)) continue;
-        src_ep = Endpoint::BoxPort(box, arc.from_index);
-      }
-      Endpoint dst_ep;
-      if (arc.to_kind == GlobalQuery::ArcDef::ToKind::kOutput) {
-        AURORA_ASSIGN_OR_RETURN(PortId port, engine->FindOutput(arc.to));
-        dst_ep = Endpoint::OutputPort(port);
-      } else {
-        dst_ep = Endpoint::BoxPort(boxes.at(arc.to), arc.to_index);
-      }
-      AURORA_RETURN_NOT_OK(engine->Connect(src_ep, dst_ep).status());
-      wired[i] = true;
-      ++progressed;
-      --remaining;
-    }
-    AURORA_RETURN_NOT_OK(engine->InitializeBoxes(/*require_all=*/false));
-    if (progressed == 0 && remaining > 0) {
-      return Status::FailedPrecondition(
-          "threaded deployment stuck: query has a cycle or a box input "
-          "depends on an unconnected source");
-    }
-  }
-  return engine->InitializeBoxes();
 }
 
 }  // namespace
@@ -136,7 +82,7 @@ ThreadedCheckReport RunThreadedScenario(const ScenarioSpec& spec,
   topts.train_size = spec.train > 0 ? spec.train * 16 : 64;
   topts.batch_size = batch_size;
   ThreadedEngine engine(topts);
-  if (Status st = DeployQueryThreaded(&engine, *query); !st.ok()) {
+  if (Status st = DeployQueryLocal(&engine, *query); !st.ok()) {
     report.violations.push_back("deploy: " + st.ToString());
     return report;
   }

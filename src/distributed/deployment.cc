@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "engine/threaded_engine.h"
+
 namespace aurora {
 
 Status GlobalQuery::AddInput(const std::string& name, SchemaPtr schema) {
@@ -229,7 +231,12 @@ Result<DeployedQuery> DeployQuery(
   return deployed;
 }
 
-Status DeployQueryLocal(AuroraEngine* engine, const GlobalQuery& query) {
+namespace {
+
+/// The one local-deployment body; both engines expose the same topology
+/// surface over their QueryNetwork.
+template <typename Engine>
+Status DeployLocal(Engine* engine, const GlobalQuery& query) {
   for (const auto& in : query.inputs()) {
     AURORA_RETURN_NOT_OK(engine->AddInput(in.name, in.schema).status());
   }
@@ -279,6 +286,16 @@ Status DeployQueryLocal(AuroraEngine* engine, const GlobalQuery& query) {
     }
   }
   return engine->InitializeBoxes();
+}
+
+}  // namespace
+
+Status DeployQueryLocal(AuroraEngine* engine, const GlobalQuery& query) {
+  return DeployLocal(engine, query);
+}
+
+Status DeployQueryLocal(ThreadedEngine* engine, const GlobalQuery& query) {
+  return DeployLocal(engine, query);
 }
 
 }  // namespace aurora

@@ -10,6 +10,8 @@
 
 namespace aurora {
 
+class ThreadedEngine;
+
 /// \brief Node-agnostic description of an Aurora query network: named
 /// inputs, named boxes, named outputs, and arcs between them.
 ///
@@ -90,8 +92,10 @@ Result<DeployedQuery> DeployQuery(AuroraStarSystem* system,
 /// Materializes the whole query inside one standalone engine — the oracle
 /// deployment model-checking runs diff a distributed deployment against
 /// (src/check). Same progressive wiring discipline as DeployQuery, but all
-/// arcs are local and no transport streams exist.
+/// arcs are local and no transport streams exist. The threaded runtime
+/// takes the identical wiring (call Start afterwards).
 Status DeployQueryLocal(AuroraEngine* engine, const GlobalQuery& query);
+Status DeployQueryLocal(ThreadedEngine* engine, const GlobalQuery& query);
 
 }  // namespace aurora
 

@@ -1,6 +1,7 @@
 #include "engine/aurora_engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -34,204 +35,47 @@ AuroraEngine::AuroraEngine(EngineOptions opts)
 
 Result<PortId> AuroraEngine::AddInput(const std::string& name,
                                       SchemaPtr schema) {
-  if (schema == nullptr) {
-    return Status::InvalidArgument("input '" + name + "' needs a schema");
-  }
-  for (const auto& in : inputs_) {
-    if (in.name == name) {
-      return Status::AlreadyExists("input '" + name + "' already exists");
-    }
-  }
-  inputs_.push_back(InputPort{name, std::move(schema), {}});
-  return static_cast<PortId>(inputs_.size() - 1);
+  return net_.AddInput(name, std::move(schema));
 }
 
 Result<PortId> AuroraEngine::AddOutput(const std::string& name) {
-  for (const auto& out : outputs_) {
-    if (out.name == name) {
-      return Status::AlreadyExists("output '" + name + "' already exists");
-    }
-  }
-  outputs_.push_back(OutputPort{name, nullptr, {}});
-  return static_cast<PortId>(outputs_.size() - 1);
-}
-
-Result<BoxId> AuroraEngine::AddBox(const OperatorSpec& spec) {
-  AURORA_ASSIGN_OR_RETURN(OperatorPtr op, CreateOperator(spec));
-  BoxRt box;
-  box.spec = spec;
-  box.in_arcs.assign(static_cast<size_t>(op->num_inputs()), -1);
-  box.out_arcs.assign(static_cast<size_t>(op->num_outputs()), {});
-  box.op = std::move(op);
-  boxes_.push_back(std::move(box));
-  return static_cast<BoxId>(boxes_.size() - 1);
-}
-
-Result<ArcId> AuroraEngine::Connect(Endpoint from, Endpoint to) {
-  // Validate endpoints.
-  switch (from.kind) {
-    case Endpoint::Kind::kInputPort:
-      if (from.id < 0 || from.id >= static_cast<int>(inputs_.size())) {
-        return Status::InvalidArgument("bad input port " + from.ToString());
-      }
-      break;
-    case Endpoint::Kind::kBox: {
-      if (from.id < 0 || from.id >= static_cast<int>(boxes_.size()) ||
-          boxes_[from.id].removed) {
-        return Status::InvalidArgument("bad source box " + from.ToString());
-      }
-      const BoxRt& b = boxes_[from.id];
-      if (from.index < 0 || from.index >= b.op->num_outputs()) {
-        return Status::InvalidArgument("bad box output " + from.ToString());
-      }
-      break;
-    }
-    case Endpoint::Kind::kOutputPort:
-      return Status::InvalidArgument("cannot connect from an output port");
-  }
-  switch (to.kind) {
-    case Endpoint::Kind::kInputPort:
-      return Status::InvalidArgument("cannot connect into an input port");
-    case Endpoint::Kind::kBox: {
-      if (to.id < 0 || to.id >= static_cast<int>(boxes_.size()) ||
-          boxes_[to.id].removed) {
-        return Status::InvalidArgument("bad destination box " + to.ToString());
-      }
-      BoxRt& b = boxes_[to.id];
-      if (to.index < 0 || to.index >= b.op->num_inputs()) {
-        return Status::InvalidArgument("bad box input " + to.ToString());
-      }
-      if (b.in_arcs[to.index] >= 0) {
-        return Status::AlreadyExists("box input " + to.ToString() +
-                                     " already connected");
-      }
-      break;
-    }
-    case Endpoint::Kind::kOutputPort:
-      if (to.id < 0 || to.id >= static_cast<int>(outputs_.size())) {
-        return Status::InvalidArgument("bad output port " + to.ToString());
-      }
-      break;
-  }
-
-  // When both endpoints already know their schemas (e.g. an adopted box),
-  // verify compatibility now instead of at InitializeBoxes.
-  if (to.kind == Endpoint::Kind::kBox && boxes_[to.id].initialized) {
-    auto from_schema = EndpointOutputSchema(from);
-    if (from_schema.ok() &&
-        !(*from_schema)->Equals(*boxes_[to.id].op->input_schema(to.index))) {
-      return Status::InvalidArgument(
-          "schema mismatch on arc: " + (*from_schema)->ToString() + " vs " +
-          boxes_[to.id].op->input_schema(to.index)->ToString());
-    }
-  }
-
-  ArcId id = static_cast<ArcId>(arcs_.size());
-  arcs_.push_back(ArcRt{});
-  arcs_[id].from = from;
-  arcs_[id].to = to;
-
-  if (from.kind == Endpoint::Kind::kInputPort) {
-    inputs_[from.id].out_arcs.push_back(id);
-  } else {
-    boxes_[from.id].out_arcs[from.index].push_back(id);
-  }
-  if (to.kind == Endpoint::Kind::kBox) {
-    boxes_[to.id].in_arcs[to.index] = id;
-  } else {
-    outputs_[to.id].in_arcs.push_back(id);
-  }
-  RecomputeOutputDistances();
+  AURORA_ASSIGN_OR_RETURN(PortId id, net_.AddOutput(name));
+  output_callbacks_.emplace_back();
   return id;
 }
 
-Result<SchemaPtr> AuroraEngine::EndpointOutputSchema(const Endpoint& e) const {
-  switch (e.kind) {
-    case Endpoint::Kind::kInputPort:
-      return inputs_[e.id].schema;
-    case Endpoint::Kind::kBox: {
-      const BoxRt& b = boxes_[e.id];
-      if (!b.initialized) {
-        return Status::FailedPrecondition("box " + std::to_string(e.id) +
-                                          " not initialized yet");
-      }
-      return b.op->output_schema(e.index);
-    }
-    case Endpoint::Kind::kOutputPort:
-      return Status::InvalidArgument("output ports have no schema");
-  }
-  return Status::Internal("bad endpoint kind");
+Result<BoxId> AuroraEngine::AddBox(const OperatorSpec& spec) {
+  AURORA_ASSIGN_OR_RETURN(BoxId id, net_.AddBox(spec));
+  boxes_.emplace_back();
+  return id;
+}
+
+Result<ArcId> AuroraEngine::Connect(Endpoint from, Endpoint to) {
+  AURORA_ASSIGN_OR_RETURN(ArcId id, net_.Connect(from, to));
+  arcs_.emplace_back();
+  RebuildScheduler();
+  return id;
 }
 
 bool AuroraEngine::IsBoxInitialized(BoxId box) const {
-  if (box < 0 || box >= static_cast<int>(boxes_.size()) ||
-      boxes_[box].removed) {
-    return false;
-  }
-  return boxes_[box].initialized;
+  return net_.IsBoxInitialized(box);
 }
 
 Status AuroraEngine::InitializeBoxes(bool require_all) {
-  // Fixed-point pass: initialize every box whose input schemas are
-  // available. The network is loop-free (§2.1), so this terminates with all
-  // boxes initialized unless an input is unconnected or a cycle exists.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t i = 0; i < boxes_.size(); ++i) {
-      BoxRt& box = boxes_[i];
-      if (box.removed || box.initialized) continue;
-      std::vector<SchemaPtr> schemas;
-      bool ready = true;
-      for (int in = 0; in < box.op->num_inputs() && ready; ++in) {
-        ArcId arc = box.in_arcs[in];
-        if (arc < 0) {
-          ready = false;
-          break;
-        }
-        auto schema = EndpointOutputSchema(arcs_[arc].from);
-        if (!schema.ok()) {
-          ready = false;
-          break;
-        }
-        schemas.push_back(*schema);
-      }
-      if (!ready) continue;
-      AURORA_RETURN_NOT_OK(box.op->Init(std::move(schemas)));
-      box.initialized = true;
-      progress = true;
-    }
-  }
-  if (require_all) {
-    for (size_t i = 0; i < boxes_.size(); ++i) {
-      const BoxRt& box = boxes_[i];
-      if (!box.removed && !box.initialized) {
-        for (int in = 0; in < box.op->num_inputs(); ++in) {
-          if (box.in_arcs[in] < 0) {
-            return Status::FailedPrecondition(
-                "box " + std::to_string(i) + " (" + box.spec.kind + ") input " +
-                std::to_string(in) + " is unconnected");
-          }
-        }
-        return Status::FailedPrecondition(
-            "box " + std::to_string(i) +
-            " could not be initialized (cycle in the network?)");
-      }
-    }
-  }
-  RecomputeOutputDistances();
-  return Status::OK();
+  Status st = net_.InitializeBoxes(require_all);
+  // Newly initialized boxes may already hold queued input.
+  RebuildScheduler();
+  return st;
 }
 
 Status AuroraEngine::MakeConnectionPoint(ArcId arc, const std::string& name,
                                          RetentionPolicy policy) {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return Status::InvalidArgument("bad arc id");
-  }
+  ArcRt* a = LiveArc(arc);
+  if (a == nullptr) return Status::InvalidArgument("bad arc id");
   if (connection_points_.count(name)) {
     return Status::AlreadyExists("connection point '" + name + "' exists");
   }
-  arcs_[arc].cp = std::make_unique<ConnectionPoint>(name, policy);
+  a->cp = std::make_unique<ConnectionPoint>(name, policy);
   connection_points_[name] = arc;
   if (durable_store_ != nullptr) BindConnectionPointStorage(arc);
   return Status::OK();
@@ -247,23 +91,25 @@ void AuroraEngine::AttachDurableStore(TieredStore* store) {
 
 void AuroraEngine::BindConnectionPointStorage(ArcId arc) {
   ArcRt& a = arcs_[arc];
-  if (a.removed || a.cp == nullptr || a.cp->storage_bound()) return;
+  if (!net_.HasArc(arc) || a.cp == nullptr || a.cp->storage_bound()) return;
   SchemaPtr schema;
-  auto s = EndpointOutputSchema(a.from);
+  auto s = net_.EndpointOutputSchema(net_.arc(arc).from);
   if (s.ok()) schema = *s;
   a.cp->BindStorage(durable_store_, "cp/" + a.cp->name(),
                     opts_.cp_cache_tuples, std::move(schema));
 }
 
 void AuroraEngine::WipeVolatileStorage() {
+  // Disconnecting an arc drops its connection point, so only live arcs
+  // carry one.
   for (auto& a : arcs_) {
-    if (!a.removed && a.cp != nullptr) a.cp->DropMemoryTier();
+    if (a.cp != nullptr) a.cp->DropMemoryTier();
   }
 }
 
 void AuroraEngine::RecoverDurableState(SimTime now) {
   for (auto& a : arcs_) {
-    if (!a.removed && a.cp != nullptr && a.cp->storage_bound()) {
+    if (a.cp != nullptr && a.cp->storage_bound()) {
       a.cp->RecoverFromStorage(now);
     }
   }
@@ -302,10 +148,8 @@ Status AuroraEngine::DetachAdHocQuery(const std::string& cp_name, int token) {
 }
 
 ConnectionPoint* AuroraEngine::ArcConnectionPoint(ArcId arc) {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return nullptr;
-  }
-  return arcs_[arc].cp.get();
+  ArcRt* a = LiveArc(arc);
+  return a == nullptr ? nullptr : a->cp.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -313,42 +157,35 @@ ConnectionPoint* AuroraEngine::ArcConnectionPoint(ArcId arc) {
 // ---------------------------------------------------------------------------
 
 Status AuroraEngine::ChokeArc(ArcId arc) {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return Status::InvalidArgument("bad arc id");
-  }
-  arcs_[arc].choked = true;
-  if (arcs_[arc].cp) arcs_[arc].cp->Choke();
+  ArcRt* a = LiveArc(arc);
+  if (a == nullptr) return Status::InvalidArgument("bad arc id");
+  a->choked = true;
+  if (a->cp) a->cp->Choke();
   return Status::OK();
 }
 
 Status AuroraEngine::UnchokeArc(ArcId arc) {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return Status::InvalidArgument("bad arc id");
-  }
-  ArcRt& a = arcs_[arc];
-  a.choked = false;
-  if (a.cp) a.cp->Unchoke();
+  ArcRt* a = LiveArc(arc);
+  if (a == nullptr) return Status::InvalidArgument("bad arc id");
+  a->choked = false;
+  if (a->cp) a->cp->Unchoke();
   // Held arrivals flow back in arrival order, ahead of any new traffic.
-  for (auto& [t, us] : a.hold) {
-    ArcEnqueue(a, std::move(t), us);
-  }
-  a.hold.clear();
+  for (auto& [t, us] : a->hold) ArcEnqueueChunk(arc, &t, 1, us, true);
+  a->hold.clear();
   return Status::OK();
 }
 
 bool AuroraEngine::ArcChoked(ArcId arc) const {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size())) return false;
-  return arcs_[arc].choked;
+  return arc >= 0 && arc < static_cast<int>(arcs_.size()) && arcs_[arc].choked;
 }
 
 Result<std::vector<Tuple>> AuroraEngine::TakeHeldTuples(ArcId arc) {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return Status::InvalidArgument("bad arc id");
-  }
+  ArcRt* a = LiveArc(arc);
+  if (a == nullptr) return Status::InvalidArgument("bad arc id");
   std::vector<Tuple> out;
-  out.reserve(arcs_[arc].hold.size());
-  for (auto& [t, us] : arcs_[arc].hold) out.push_back(std::move(t));
-  arcs_[arc].hold.clear();
+  out.reserve(a->hold.size());
+  for (auto& [t, us] : a->hold) out.push_back(std::move(t));
+  a->hold.clear();
   return out;
 }
 
@@ -358,103 +195,45 @@ size_t AuroraEngine::HeldTupleCount(ArcId arc) const {
 }
 
 Result<OperatorPtr> AuroraEngine::ExtractBoxOperator(BoxId box) {
-  if (box < 0 || box >= static_cast<int>(boxes_.size()) ||
-      boxes_[box].removed) {
-    return Status::InvalidArgument("bad box id");
-  }
-  BoxRt& b = boxes_[box];
-  for (ArcId arc : b.in_arcs) {
-    if (arc >= 0) {
-      return Status::FailedPrecondition("box still has a connected input arc");
-    }
-  }
-  for (const auto& outs : b.out_arcs) {
-    if (!outs.empty()) {
-      return Status::FailedPrecondition("box still has a connected output arc");
-    }
-  }
-  b.removed = true;
-  return std::move(b.op);
+  return net_.RemoveBox(box);
 }
 
 Result<BoxId> AuroraEngine::AdoptBoxOperator(OperatorPtr op) {
-  if (op == nullptr) return Status::InvalidArgument("null operator");
-  BoxRt box;
-  box.spec = op->spec();
-  box.in_arcs.assign(static_cast<size_t>(op->num_inputs()), -1);
-  box.out_arcs.assign(static_cast<size_t>(op->num_outputs()), {});
-  box.op = std::move(op);
-  box.initialized = true;  // arrives with schemas and state intact
-  boxes_.push_back(std::move(box));
-  return static_cast<BoxId>(boxes_.size() - 1);
+  AURORA_ASSIGN_OR_RETURN(BoxId id, net_.AdoptBox(std::move(op)));
+  boxes_.emplace_back();
+  return id;
 }
 
 Status AuroraEngine::DisconnectArc(ArcId arc) {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return Status::InvalidArgument("bad arc id");
-  }
-  ArcRt& a = arcs_[arc];
-  if (!a.queue.empty()) {
+  ArcRt* a = LiveArc(arc);
+  if (a == nullptr) return Status::InvalidArgument("bad arc id");
+  if (!a->queue.empty()) {
     return Status::FailedPrecondition(
-        "arc queue not empty (" + std::to_string(a.queue.size()) +
+        "arc queue not empty (" + std::to_string(a->queue.size()) +
         " tuples); TakeArcQueue first");
   }
-  if (!a.hold.empty()) {
+  if (!a->hold.empty()) {
     return Status::FailedPrecondition("arc has held tuples; TakeHeldTuples first");
   }
-  auto erase_from = [arc](std::vector<ArcId>* list) {
-    list->erase(std::remove(list->begin(), list->end(), arc), list->end());
-  };
-  if (a.from.kind == Endpoint::Kind::kInputPort) {
-    erase_from(&inputs_[a.from.id].out_arcs);
-  } else if (a.from.kind == Endpoint::Kind::kBox) {
-    erase_from(&boxes_[a.from.id].out_arcs[a.from.index]);
-  }
-  if (a.to.kind == Endpoint::Kind::kBox) {
-    boxes_[a.to.id].in_arcs[a.to.index] = -1;
-  } else if (a.to.kind == Endpoint::Kind::kOutputPort) {
-    erase_from(&outputs_[a.to.id].in_arcs);
-  }
-  a.removed = true;
+  AURORA_RETURN_NOT_OK(net_.Disconnect(arc));
   for (auto it = connection_points_.begin(); it != connection_points_.end();) {
     it = (it->second == arc) ? connection_points_.erase(it) : std::next(it);
   }
-  a.cp.reset();
-  RecomputeOutputDistances();
+  a->cp.reset();
+  RebuildScheduler();
   return Status::OK();
 }
 
 Status AuroraEngine::RemoveBox(BoxId box) {
-  if (box < 0 || box >= static_cast<int>(boxes_.size()) ||
-      boxes_[box].removed) {
-    return Status::InvalidArgument("bad box id");
-  }
-  BoxRt& b = boxes_[box];
-  for (ArcId arc : b.in_arcs) {
-    if (arc >= 0) {
-      return Status::FailedPrecondition("box still has a connected input arc");
-    }
-  }
-  for (const auto& outs : b.out_arcs) {
-    if (!outs.empty()) {
-      return Status::FailedPrecondition("box still has a connected output arc");
-    }
-  }
-  b.removed = true;
-  b.op.reset();
-  return Status::OK();
+  return net_.RemoveBox(box).status();  // the operator is destroyed here
 }
 
 Result<std::vector<Tuple>> AuroraEngine::TakeArcQueue(ArcId arc) {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return Status::InvalidArgument("bad arc id");
-  }
-  ArcRt& a = arcs_[arc];
+  ArcRt* a = LiveArc(arc);
+  if (a == nullptr) return Status::InvalidArgument("bad arc id");
   std::vector<Tuple> out;
-  out.reserve(a.queue.size());
-  while (!a.queue.empty()) {
-    out.push_back(ArcDequeue(a));
-  }
+  out.reserve(a->queue.size());
+  while (!a->queue.empty()) out.push_back(ArcDequeue(arc));
   return out;
 }
 
@@ -462,79 +241,15 @@ Result<std::vector<Tuple>> AuroraEngine::TakeArcQueue(ArcId arc) {
 // Lookup
 // ---------------------------------------------------------------------------
 
-Result<PortId> AuroraEngine::FindInput(const std::string& name) const {
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    if (inputs_[i].name == name) return static_cast<PortId>(i);
-  }
-  return Status::NotFound("no input named '" + name + "'");
-}
-
-Result<PortId> AuroraEngine::FindOutput(const std::string& name) const {
-  for (size_t i = 0; i < outputs_.size(); ++i) {
-    if (outputs_[i].name == name) return static_cast<PortId>(i);
-  }
-  return Status::NotFound("no output named '" + name + "'");
-}
-
-Result<ArcId> AuroraEngine::FindArcInto(BoxId box, int input_index) const {
-  if (box < 0 || box >= static_cast<int>(boxes_.size()) ||
-      boxes_[box].removed) {
-    return Status::InvalidArgument("bad box id");
-  }
-  const BoxRt& b = boxes_[box];
-  if (input_index < 0 || input_index >= static_cast<int>(b.in_arcs.size()) ||
-      b.in_arcs[input_index] < 0) {
-    return Status::NotFound("no arc into box input");
-  }
-  return b.in_arcs[input_index];
-}
-
-std::vector<ArcId> AuroraEngine::ArcsFrom(Endpoint from) const {
-  if (from.kind == Endpoint::Kind::kInputPort &&
-      from.id < static_cast<int>(inputs_.size())) {
-    return inputs_[from.id].out_arcs;
-  }
-  if (from.kind == Endpoint::Kind::kBox &&
-      from.id < static_cast<int>(boxes_.size()) && !boxes_[from.id].removed &&
-      from.index < static_cast<int>(boxes_[from.id].out_arcs.size())) {
-    return boxes_[from.id].out_arcs[from.index];
-  }
-  return {};
-}
-
-std::vector<ArcId> AuroraEngine::ArcsInto(PortId output_port) const {
-  if (output_port < 0 || output_port >= static_cast<int>(outputs_.size())) {
-    return {};
-  }
-  return outputs_[output_port].in_arcs;
-}
-
 Result<const OperatorSpec*> AuroraEngine::BoxSpec(BoxId box) const {
-  if (box < 0 || box >= static_cast<int>(boxes_.size()) ||
-      boxes_[box].removed) {
-    return Status::InvalidArgument("bad box id");
-  }
-  return &boxes_[box].spec;
+  if (!net_.HasBox(box)) return Status::InvalidArgument("bad box id");
+  return &net_.box(box).spec;
 }
 
 Result<Operator*> AuroraEngine::BoxOp(BoxId box) {
-  if (box < 0 || box >= static_cast<int>(boxes_.size()) ||
-      boxes_[box].removed) {
-    return Status::InvalidArgument("bad box id");
-  }
-  return boxes_[box].op.get();
+  if (!net_.HasBox(box)) return Status::InvalidArgument("bad box id");
+  return net_.box(box).op.get();
 }
-
-std::vector<BoxId> AuroraEngine::BoxIds() const {
-  std::vector<BoxId> ids;
-  for (size_t i = 0; i < boxes_.size(); ++i) {
-    if (!boxes_[i].removed) ids.push_back(static_cast<BoxId>(i));
-  }
-  return ids;
-}
-
-Endpoint AuroraEngine::ArcFrom(ArcId arc) const { return arcs_[arc].from; }
-Endpoint AuroraEngine::ArcTo(ArcId arc) const { return arcs_[arc].to; }
 
 size_t AuroraEngine::ArcQueueSize(ArcId arc) const {
   if (arc < 0 || arc >= static_cast<int>(arcs_.size())) return 0;
@@ -542,9 +257,7 @@ size_t AuroraEngine::ArcQueueSize(ArcId arc) const {
 }
 
 SeqNo AuroraEngine::ArcQueueMinSeq(ArcId arc) const {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return kNoSeqNo;
-  }
+  if (!net_.HasArc(arc)) return kNoSeqNo;
   SeqNo min_seq = kNoSeqNo;
   auto consider = [&min_seq](SeqNo s) {
     if (s == kNoSeqNo) return;
@@ -557,16 +270,14 @@ SeqNo AuroraEngine::ArcQueueMinSeq(ArcId arc) const {
 
 AuroraEngine::OutputCallback AuroraEngine::GetOutputCallback(
     PortId output) const {
-  if (output < 0 || output >= static_cast<int>(outputs_.size())) return nullptr;
-  return outputs_[output].callback;
+  if (output < 0 || output >= static_cast<int>(output_callbacks_.size())) {
+    return nullptr;
+  }
+  return output_callbacks_[output];
 }
 
-size_t AuroraEngine::num_boxes() const {
-  size_t n = 0;
-  for (const auto& b : boxes_) {
-    if (!b.removed) ++n;
-  }
-  return n;
+AuroraEngine::ArcRt* AuroraEngine::LiveArc(ArcId arc) {
+  return net_.HasArc(arc) ? &arcs_[arc] : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -574,7 +285,7 @@ size_t AuroraEngine::num_boxes() const {
 // ---------------------------------------------------------------------------
 
 Status AuroraEngine::SetOutputQoS(PortId output, QoSSpec spec) {
-  if (output < 0 || output >= static_cast<int>(outputs_.size())) {
+  if (output < 0 || output >= static_cast<int>(net_.num_outputs())) {
     return Status::InvalidArgument("bad output port");
   }
   qos_.SetSpec(output, std::move(spec));
@@ -583,42 +294,40 @@ Status AuroraEngine::SetOutputQoS(PortId output, QoSSpec spec) {
 
 void AuroraEngine::WalkDownstream(const Endpoint& from, double cost_so_far_us,
                                   std::map<PortId, double>* outputs_cost) const {
-  for (ArcId arc : ArcsFrom(from)) {
-    const ArcRt& a = arcs_[arc];
-    if (a.to.kind == Endpoint::Kind::kOutputPort) {
-      auto it = outputs_cost->find(a.to.id);
+  for (ArcId arc : net_.ArcsFrom(from)) {
+    const Endpoint to = net_.arc(arc).to;
+    if (to.kind == Endpoint::Kind::kOutputPort) {
+      auto it = outputs_cost->find(to.id);
       // Keep the most stringent (largest) accumulated time over paths.
       if (it == outputs_cost->end() || it->second < cost_so_far_us) {
-        (*outputs_cost)[a.to.id] = cost_so_far_us;
+        (*outputs_cost)[to.id] = cost_so_far_us;
       }
       continue;
     }
-    const BoxRt& box = boxes_[a.to.id];
-    double measured_ms = qos_.BoxTbMs(a.to.id);
+    const Operator& op = *net_.box(to.id).op;
+    double measured_ms = qos_.BoxTbMs(to.id);
     double t_b_us = measured_ms > 0.0 ? measured_ms * 1000.0
-                                      : box.op->cost_micros_per_tuple();
-    for (int k = 0; k < box.op->num_outputs(); ++k) {
-      WalkDownstream(Endpoint::BoxPort(a.to.id, k), cost_so_far_us + t_b_us,
+                                      : op.cost_micros_per_tuple();
+    for (int k = 0; k < op.num_outputs(); ++k) {
+      WalkDownstream(Endpoint::BoxPort(to.id, k), cost_so_far_us + t_b_us,
                      outputs_cost);
     }
   }
 }
 
 Result<QoSSpec> AuroraEngine::InferArcQoS(ArcId arc) const {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return Status::InvalidArgument("bad arc id");
-  }
-  const ArcRt& a = arcs_[arc];
+  if (!net_.HasArc(arc)) return Status::InvalidArgument("bad arc id");
+  const Endpoint to = net_.arc(arc).to;
   std::map<PortId, double> outputs_cost;
-  if (a.to.kind == Endpoint::Kind::kOutputPort) {
-    outputs_cost[a.to.id] = 0.0;
+  if (to.kind == Endpoint::Kind::kOutputPort) {
+    outputs_cost[to.id] = 0.0;
   } else {
-    const BoxRt& box = boxes_[a.to.id];
-    double measured_ms = qos_.BoxTbMs(a.to.id);
+    const Operator& op = *net_.box(to.id).op;
+    double measured_ms = qos_.BoxTbMs(to.id);
     double t_b_us = measured_ms > 0.0 ? measured_ms * 1000.0
-                                      : box.op->cost_micros_per_tuple();
-    for (int k = 0; k < box.op->num_outputs(); ++k) {
-      WalkDownstream(Endpoint::BoxPort(a.to.id, k), t_b_us, &outputs_cost);
+                                      : op.cost_micros_per_tuple();
+    for (int k = 0; k < op.num_outputs(); ++k) {
+      WalkDownstream(Endpoint::BoxPort(to.id, k), t_b_us, &outputs_cost);
     }
   }
   std::vector<QoSSpec> candidates;
@@ -638,32 +347,18 @@ Result<QoSSpec> AuroraEngine::InferArcQoS(ArcId arc) const {
 // Data path
 // ---------------------------------------------------------------------------
 
-class AuroraEngine::RoutingEmitter : public Emitter {
+/// Routes a box's emissions. Lineage stamping (seq and trace id) happens
+/// in the operator's emitter wrappers, so a scalar emission is just a chunk
+/// of one.
+class AuroraEngine::RoutingEmitter final : public Emitter {
  public:
   RoutingEmitter(AuroraEngine* engine, BoxId box, SimTime now,
                  std::vector<BoxId>* touched)
       : engine_(engine), box_(box), now_(now), touched_(touched) {}
 
-  /// Lineage id the current input tuple carries; emitted tuples that don't
-  /// already have one (freshly constructed by the operator) inherit it.
-  void set_trace_id(uint64_t id) { trace_id_ = id; }
+  void Emit(int output, Tuple t) override { EmitChunk(output, &t, 1); }
 
-  void Emit(int output, Tuple t) override {
-    if (trace_id_ != 0 && t.trace_id() == 0) t.set_trace_id(trace_id_);
-    engine_->Route(Endpoint::BoxPort(box_, output), t, now_, touched_);
-  }
-
-  /// Chunked sink for the batched path: one routing pass per staged run of
-  /// same-output emissions. Seq/trace stamping already happened inside the
-  /// BatchEmitter, so the chunk is routed as-is (trace_id_ is unset on the
-  /// batched path; the loop below mirrors Emit for completeness).
   void EmitChunk(int output, Tuple* tuples, size_t n) override {
-    if (n == 0) return;
-    if (trace_id_ != 0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (tuples[i].trace_id() == 0) tuples[i].set_trace_id(trace_id_);
-      }
-    }
     engine_->RouteChunk(Endpoint::BoxPort(box_, output), tuples, n, now_,
                         touched_);
   }
@@ -673,68 +368,61 @@ class AuroraEngine::RoutingEmitter : public Emitter {
   BoxId box_;
   SimTime now_;
   std::vector<BoxId>* touched_;
-  uint64_t trace_id_ = 0;
 };
-
-void AuroraEngine::Route(const Endpoint& from, const Tuple& t, SimTime now,
-                         std::vector<BoxId>* touched) {
-  for (ArcId arc : ArcsFrom(from)) {
-    ArcRt& a = arcs_[arc];
-    if (a.cp) {
-      // Subscriber callbacks are application code, free to use Get(name).
-      TupleHotPathSection::Exemption allow_get;
-      a.cp->Record(t, now);
-    }
-    if (a.choked) {
-      a.hold.emplace_back(t, now.micros());
-      continue;
-    }
-    if (a.to.kind == Endpoint::Kind::kOutputPort) {
-      DeliverToOutput(a.to.id, t, now);
-    } else {
-      ArcEnqueue(a, t, now.micros());
-      if (touched != nullptr &&
-          std::find(touched->begin(), touched->end(), a.to.id) ==
-              touched->end()) {
-        touched->push_back(a.to.id);
-      }
-    }
-  }
-}
 
 void AuroraEngine::RouteChunk(const Endpoint& from, Tuple* tuples, size_t n,
                               SimTime now, std::vector<BoxId>* touched) {
-  m_batch_chunks_->Add();
-  m_batch_chunk_tuples_->Add(static_cast<uint64_t>(n));
-  std::vector<ArcId> fan = ArcsFrom(from);
-  for (size_t a_idx = 0; a_idx < fan.size(); ++a_idx) {
-    ArcRt& a = arcs_[fan[a_idx]];
-    const bool last_arc = a_idx + 1 == fan.size();
-    m_batch_fanout_tuples_->Add(static_cast<uint64_t>(n));
-    if (a.cp) {
+  route_counts_.chunks++;
+  route_counts_.tuples += n;
+  // Connection-point subscribers and output callbacks are application code
+  // that may rewire the network, so the out-arc list is walked by index and
+  // re-read after every callback, and no model or arc reference outlives
+  // one.
+  std::span<const ArcId> fan = net_.ArcsFrom(from);
+  for (size_t k = 0; k < fan.size(); ++k) {
+    const ArcId id = fan[k];
+    const Endpoint to = net_.arc(id).to;
+    if (arcs_[id].cp) {
       // Subscriber callbacks are application code, free to use Get(name).
       TupleHotPathSection::Exemption allow_get;
-      for (size_t i = 0; i < n; ++i) a.cp->Record(tuples[i], now);
+      for (size_t i = 0; i < n; ++i) arcs_[id].cp->Record(tuples[i], now);
+      fan = net_.ArcsFrom(from);
     }
+    // Each arc's fan-out share is counted together with its destination,
+    // so a publish from inside a callback still reconciles.
+    route_counts_.fanout += n;
+    ArcRt& a = arcs_[id];
     if (a.choked) {
-      m_batch_chunk_held_->Add(static_cast<uint64_t>(n));
+      route_counts_.held += n;
       const int64_t us = now.micros();
       for (size_t i = 0; i < n; ++i) a.hold.emplace_back(tuples[i], us);
       continue;
     }
-    if (a.to.kind == Endpoint::Kind::kOutputPort) {
-      m_batch_chunk_delivered_->Add(static_cast<uint64_t>(n));
-      for (size_t i = 0; i < n; ++i) DeliverToOutput(a.to.id, tuples[i], now);
+    if (to.kind == Endpoint::Kind::kOutputPort) {
+      route_counts_.delivered += n;
+      for (size_t i = 0; i < n; ++i) DeliverToOutput(to.id, tuples[i], now);
+      fan = net_.ArcsFrom(from);
       continue;
     }
-    m_batch_chunk_enqueued_->Add(static_cast<uint64_t>(n));
-    ArcEnqueueChunk(a, tuples, n, now.micros(), last_arc);
+    route_counts_.enqueued += n;
+    const bool last_arc = k + 1 == fan.size();
+    ArcEnqueueChunk(id, tuples, n, now.micros(), last_arc);
     if (touched != nullptr &&
-        std::find(touched->begin(), touched->end(), a.to.id) ==
-            touched->end()) {
-      touched->push_back(a.to.id);
+        std::find(touched->begin(), touched->end(), to.id) == touched->end()) {
+      touched->push_back(to.id);
     }
   }
+}
+
+void AuroraEngine::PublishRouteCounts() {
+  const RouteCounts c = std::exchange(route_counts_, RouteCounts{});
+  if (c.chunks == 0) return;
+  m_batch_chunks_->Add(c.chunks);
+  m_batch_chunk_tuples_->Add(c.tuples);
+  if (c.fanout > 0) m_batch_fanout_tuples_->Add(c.fanout);
+  if (c.enqueued > 0) m_batch_chunk_enqueued_->Add(c.enqueued);
+  if (c.delivered > 0) m_batch_chunk_delivered_->Add(c.delivered);
+  if (c.held > 0) m_batch_chunk_held_->Add(c.held);
 }
 
 void AuroraEngine::DeliverToOutput(PortId port, const Tuple& t, SimTime now) {
@@ -746,31 +434,23 @@ void AuroraEngine::DeliverToOutput(PortId port, const Tuple& t, SimTime now) {
   const StageBreakdown* attr = nullptr;
   if (tracer.enabled() && t.trace_id() != 0) {
     tracer.Record({t.trace_id(), SpanKind::kDelivery, trace_node_,
-                   "out:" + outputs_[port].name, now.micros(), now.micros()});
+                   "out:" + net_.output(port).name, now.micros(),
+                   now.micros()});
     const StageBreakdown* last = tracer.attribution().last_delivery();
     if (last != nullptr && last->trace_id == t.trace_id()) attr = last;
   }
   qos_.RecordDelivery(port, latency_ms, attr, now.micros());
-  if (outputs_[port].callback) {
+  if (output_callbacks_[port]) {
     // Output callbacks are application code, free to use Get(name).
     TupleHotPathSection::Exemption allow_get;
-    outputs_[port].callback(t, now);
+    output_callbacks_[port](t, now);
   }
 }
 
 Status AuroraEngine::PushInput(PortId input, Tuple t, SimTime now,
                                bool gate_ingest) {
-  if (input < 0 || input >= static_cast<int>(inputs_.size())) {
-    return Status::InvalidArgument("bad input port");
-  }
-  if (t.schema() == nullptr) {
-    return Status::InvalidArgument("tuple has no schema");
-  }
-  if (!t.schema()->Equals(*inputs_[input].schema)) {
-    return Status::InvalidArgument("tuple schema " + t.schema()->ToString() +
-                                   " does not match input schema " +
-                                   inputs_[input].schema->ToString());
-  }
+  AURORA_RETURN_NOT_OK(net_.CheckInputTuple(input, t));
+  const QueryNetwork::InputPort& port = net_.input(input);
   m_tuples_in_->Add();
   if (shedder_.ShouldDrop(input, t, now)) {
     m_tuples_shed_->Add();
@@ -779,7 +459,7 @@ Status AuroraEngine::PushInput(PortId input, Tuple t, SimTime now,
     Tracer& tracer = Tracer::Global();
     if (tracer.enabled() && t.trace_id() != 0) {
       tracer.Record({t.trace_id(), SpanKind::kShed, trace_node_,
-                     "shed:in:" + inputs_[input].name, now.micros(),
+                     "shed:in:" + port.name, now.micros(),
                      now.micros()});
     }
     // Attribute the drop to every output downstream of this input so the
@@ -811,10 +491,11 @@ Status AuroraEngine::PushInput(PortId input, Tuple t, SimTime now,
     if (t.trace_id() == 0) t.set_trace_id(tracer.NewTrace());
     if (t.trace_id() != 0) {
       tracer.Record({t.trace_id(), SpanKind::kEnqueue, trace_node_,
-                     "in:" + inputs_[input].name, now.micros(), now.micros()});
+                     "in:" + port.name, now.micros(), now.micros()});
     }
   }
-  Route(Endpoint::InputPort(input), t, now, nullptr);
+  RouteChunk(Endpoint::InputPort(input), &t, 1, now, nullptr);
+  PublishRouteCounts();
   storage_.EnforceBudget(AllQueues());
   return Status::OK();
 }
@@ -826,13 +507,14 @@ Status AuroraEngine::PushInputByName(const std::string& name, Tuple t,
 }
 
 void AuroraEngine::SetOutputCallback(PortId output, OutputCallback cb) {
-  AURORA_CHECK(output >= 0 && output < static_cast<int>(outputs_.size()));
-  outputs_[output].callback = std::move(cb);
+  AURORA_CHECK(output >= 0 &&
+               output < static_cast<int>(output_callbacks_.size()));
+  output_callbacks_[output] = std::move(cb);
 }
 
 Status AuroraEngine::EmitToOutputPort(PortId output, const Tuple& t,
                                       SimTime now) {
-  if (output < 0 || output >= static_cast<int>(outputs_.size())) {
+  if (output < 0 || output >= static_cast<int>(net_.num_outputs())) {
     return Status::InvalidArgument("bad output port");
   }
   DeliverToOutput(output, t, now);
@@ -840,15 +522,13 @@ Status AuroraEngine::EmitToOutputPort(PortId output, const Tuple& t,
 }
 
 Status AuroraEngine::EnqueueOnArc(ArcId arc, Tuple t, SimTime now) {
-  if (arc < 0 || arc >= static_cast<int>(arcs_.size()) || arcs_[arc].removed) {
-    return Status::InvalidArgument("bad arc id");
-  }
-  ArcRt& a = arcs_[arc];
-  if (a.to.kind == Endpoint::Kind::kOutputPort) {
-    DeliverToOutput(a.to.id, t, now);
+  if (!net_.HasArc(arc)) return Status::InvalidArgument("bad arc id");
+  const Endpoint to = net_.arc(arc).to;
+  if (to.kind == Endpoint::Kind::kOutputPort) {
+    DeliverToOutput(to.id, t, now);
     return Status::OK();
   }
-  ArcEnqueue(a, std::move(t), now.micros());
+  ArcEnqueueChunk(arc, &t, 1, now.micros(), true);
   return Status::OK();
 }
 
@@ -856,23 +536,19 @@ Status AuroraEngine::EnqueueOnArc(ArcId arc, Tuple t, SimTime now) {
 // Execution
 // ---------------------------------------------------------------------------
 
-bool AuroraEngine::BoxReady(const BoxRt& box) const {
+bool AuroraEngine::BoxReady(BoxId box) const {
   // `queued` counts consumable tuples across this box's in-arcs. A choked
   // arc's queue remains consumable (it drains); only *new* arrivals are
   // held — see ChokeArc — so choking does not affect readiness.
-  return !box.removed && box.initialized && box.queued > 0;
+  const QueryNetwork::Box& b = net_.box(box);
+  return !b.removed && b.initialized && boxes_[box].queued > 0;
 }
 
 bool AuroraEngine::HasWork() const { return ready_count_ > 0; }
 
-void AuroraEngine::ArcEnqueue(ArcRt& arc, Tuple t, int64_t enqueue_us) {
-  arc.queue.Push(std::move(t));
-  arc.enqueue_us.push_back(enqueue_us);
-  if (arc.to.kind == Endpoint::Kind::kBox) NoteBoxQueued(arc.to.id, +1);
-}
-
-void AuroraEngine::ArcEnqueueChunk(ArcRt& arc, Tuple* tuples, size_t n,
+void AuroraEngine::ArcEnqueueChunk(ArcId arc_id, Tuple* tuples, size_t n,
                                    int64_t enqueue_us, bool may_move) {
+  ArcRt& arc = arcs_[arc_id];
   for (size_t i = 0; i < n; ++i) {
     if (may_move) {
       arc.queue.Push(std::move(tuples[i]));
@@ -882,31 +558,34 @@ void AuroraEngine::ArcEnqueueChunk(ArcRt& arc, Tuple* tuples, size_t n,
     }
     arc.enqueue_us.push_back(enqueue_us);
   }
-  if (arc.to.kind == Endpoint::Kind::kBox) {
-    NoteBoxQueued(arc.to.id, static_cast<int>(n));
+  const Endpoint& to = net_.arc(arc_id).to;
+  if (to.kind == Endpoint::Kind::kBox) {
+    NoteBoxQueued(to.id, static_cast<int>(n));
   }
 }
 
-Tuple AuroraEngine::ArcDequeue(ArcRt& arc) {
+Tuple AuroraEngine::ArcDequeue(ArcId arc_id) {
+  ArcRt& arc = arcs_[arc_id];
   Tuple t = arc.queue.Pop();
   arc.enqueue_us.pop_front();
-  if (arc.to.kind == Endpoint::Kind::kBox) NoteBoxQueued(arc.to.id, -1);
+  const Endpoint& to = net_.arc(arc_id).to;
+  if (to.kind == Endpoint::Kind::kBox) NoteBoxQueued(to.id, -1);
   return t;
 }
 
-int64_t AuroraEngine::SchedKey(const BoxRt& box) const {
+int64_t AuroraEngine::SchedKey(BoxId box) const {
   if (opts_.scheduler == SchedulerPolicy::kLongestQueue) {
-    return static_cast<int64_t>(box.queued);
+    return static_cast<int64_t>(boxes_[box].queued);
   }
   // kMinOutputDistance: nearer outputs first, so negate.
-  return -static_cast<int64_t>(box.distance_to_output);
+  return -static_cast<int64_t>(net_.box(box).distance_to_output);
 }
 
 void AuroraEngine::NoteBoxQueued(BoxId box_id, int delta) {
   BoxRt& b = boxes_[box_id];
-  bool was_ready = BoxReady(b);
+  bool was_ready = BoxReady(box_id);
   b.queued = static_cast<size_t>(static_cast<int64_t>(b.queued) + delta);
-  bool now_ready = BoxReady(b);
+  bool now_ready = BoxReady(box_id);
   if (now_ready && !was_ready) ready_count_++;
   if (!now_ready && was_ready) ready_count_--;
   if (!UsesReadyHeap()) return;
@@ -914,13 +593,13 @@ void AuroraEngine::NoteBoxQueued(BoxId box_id, int delta) {
     // The key *is* the queue length, so every change retires the box's
     // current heap entry and (if still ready) posts a fresh one.
     b.sched_gen++;
-    if (now_ready) ready_heap_.push({SchedKey(b), box_id, b.sched_gen});
+    if (now_ready) ready_heap_.push({SchedKey(box_id), box_id, b.sched_gen});
   } else {
     // kMinOutputDistance: the key is fixed per topology; only readiness
     // transitions touch the heap, so draining a deep backlog is churn-free.
     if (now_ready == was_ready) return;
     b.sched_gen++;
-    if (now_ready) ready_heap_.push({SchedKey(b), box_id, b.sched_gen});
+    if (now_ready) ready_heap_.push({SchedKey(box_id), box_id, b.sched_gen});
   }
 }
 
@@ -929,33 +608,35 @@ void AuroraEngine::RebuildScheduler() {
     box.queued = 0;
     box.sched_gen++;
   }
-  for (const auto& a : arcs_) {
+  for (size_t i = 0; i < arcs_.size(); ++i) {
+    const QueryNetwork::Arc& a = net_.arc(static_cast<ArcId>(i));
     if (!a.removed && a.to.kind == Endpoint::Kind::kBox) {
-      boxes_[a.to.id].queued += a.queue.size();
+      boxes_[a.to.id].queued += arcs_[i].queue.size();
     }
   }
   ready_count_ = 0;
   ready_heap_ = {};
   for (size_t i = 0; i < boxes_.size(); ++i) {
-    const BoxRt& b = boxes_[i];
-    if (!BoxReady(b)) continue;
+    const BoxId id = static_cast<BoxId>(i);
+    if (!BoxReady(id)) continue;
     ready_count_++;
     if (UsesReadyHeap()) {
-      ready_heap_.push({SchedKey(b), static_cast<BoxId>(i), b.sched_gen});
+      ready_heap_.push({SchedKey(id), id, boxes_[i].sched_gen});
     }
   }
 }
 
 void AuroraEngine::RefreshQoSDeadlines() {
   for (size_t i = 0; i < boxes_.size(); ++i) {
-    BoxRt& box = boxes_[i];
-    if (box.removed || !box.initialized) continue;
-    box.deadline_ms = 1e18;
-    for (ArcId arc : box.in_arcs) {
+    const QueryNetwork::Box& model = net_.box(static_cast<BoxId>(i));
+    if (model.removed || !model.initialized) continue;
+    double& deadline_ms = boxes_[i].deadline_ms;
+    deadline_ms = 1e18;
+    for (ArcId arc : model.in_arcs) {
       if (arc < 0) continue;
       auto spec = InferArcQoS(arc);
       if (!spec.ok() || spec->latency.empty()) continue;
-      box.deadline_ms = std::min(box.deadline_ms, spec->latency.CriticalX(0.5));
+      deadline_ms = std::min(deadline_ms, spec->latency.CriticalX(0.5));
     }
   }
 }
@@ -969,9 +650,9 @@ Result<BoxId> AuroraEngine::PickBox(SimTime now) {
       int best = -1;
       double best_slack = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        if (!BoxReady(boxes_[i])) continue;
+        if (!BoxReady(static_cast<BoxId>(i))) continue;
         double oldest_ms = 0.0;
-        for (ArcId arc : boxes_[i].in_arcs) {
+        for (ArcId arc : net_.box(static_cast<BoxId>(i)).in_arcs) {
           if (arc < 0 || arcs_[arc].queue.empty()) continue;
           oldest_ms = std::max(
               oldest_ms,
@@ -990,7 +671,7 @@ Result<BoxId> AuroraEngine::PickBox(SimTime now) {
     case SchedulerPolicy::kTupleAtATime: {
       for (size_t step = 0; step < n; ++step) {
         size_t i = (rr_next_box_ + step) % n;
-        if (BoxReady(boxes_[i])) {
+        if (BoxReady(static_cast<BoxId>(i))) {
           rr_next_box_ = static_cast<int>((i + 1) % n);
           return static_cast<BoxId>(i);
         }
@@ -1007,8 +688,7 @@ Result<BoxId> AuroraEngine::PickBox(SimTime now) {
       }
       while (!ready_heap_.empty()) {
         const ReadyEntry top = ready_heap_.top();
-        const BoxRt& b = boxes_[top.box];
-        if (top.gen != b.sched_gen || !BoxReady(b)) {
+        if (top.gen != boxes_[top.box].sched_gen || !BoxReady(top.box)) {
           ready_heap_.pop();  // stale: queue state moved on since the push
           continue;
         }
@@ -1022,10 +702,12 @@ Result<BoxId> AuroraEngine::PickBox(SimTime now) {
   return Status::Internal("bad scheduler policy");
 }
 
-void AuroraEngine::EnsureBoxProfile(BoxId box_id, BoxRt* box) {
+void AuroraEngine::EnsureBoxProfile(BoxId box_id) {
+  BoxRt* box = &boxes_[box_id];
   MetricsRegistry& reg = MetricsRegistry::Global();
   const std::string base = "engine.box.n" + std::to_string(trace_node_) + "." +
-                           std::to_string(box_id) + ":" + box->spec.kind + ".";
+                           std::to_string(box_id) + ":" +
+                           net_.box(box_id).spec.kind + ".";
   box->prof_activations = reg.GetCounter(base + "activations");
   box->prof_tuples = reg.GetCounter(base + "tuples");
   box->prof_self_us = reg.GetCounter(base + "self_us");
@@ -1034,104 +716,54 @@ void AuroraEngine::EnsureBoxProfile(BoxId box_id, BoxRt* box) {
 
 double AuroraEngine::ActivateBox(BoxId box_id, SimTime now,
                                  std::vector<BoxId>* touched) {
-  BoxRt& box = boxes_[box_id];
-  if (box.prof_activations == nullptr) EnsureBoxProfile(box_id, &box);
-  if (opts_.batch_size > 1 &&
-      opts_.scheduler != SchedulerPolicy::kTupleAtATime &&
-      box.op->num_inputs() == 1) {
-    return ActivateBoxBatched(box_id, now, touched);
-  }
-  int budget = opts_.scheduler == SchedulerPolicy::kTupleAtATime
-                   ? 1
-                   : opts_.train_size;
-  double cost_us = 0.0;
-  double wait_sum_ms = 0.0;
-  int processed = 0;
-  RoutingEmitter emitter(this, box_id, now, touched);
-  const int n_inputs = box.op->num_inputs();
-  int idle_scans = 0;
-  while (processed < budget && idle_scans < n_inputs) {
-    int in = box.rr_next_input % n_inputs;
-    box.rr_next_input = (box.rr_next_input + 1) % n_inputs;
-    ArcId arc = box.in_arcs[in];
-    if (arc < 0 || arcs_[arc].queue.empty()) {
-      idle_scans++;
-      continue;
-    }
-    idle_scans = 0;
-    ArcRt& a = arcs_[arc];
-    uint64_t reads_before = a.queue.unspill_reads();
-    int64_t enq_us = a.enqueue_us.front();
-    Tuple t = ArcDequeue(a);
-    double wait_ms = static_cast<double>(now.micros() - enq_us) / 1000.0;
-    wait_sum_ms += wait_ms;
-    m_queue_wait_ms_->Record(wait_ms);
-    double tuple_cost_us = box.op->cost_micros_per_tuple();
-    tuple_cost_us += static_cast<double>(a.queue.unspill_reads() -
-                                         reads_before) *
-                     opts_.spill_read_cost_us;
-    cost_us += tuple_cost_us;
-    box.prof_tuple_cost_us->Record(tuple_cost_us);
-    Tracer& tracer = Tracer::Global();
-    if (tracer.enabled() && t.trace_id() != 0) {
-      tracer.Record({t.trace_id(), SpanKind::kBoxExec, trace_node_,
-                     "box:" + box.spec.kind, now.micros(),
-                     now.micros() + static_cast<int64_t>(tuple_cost_us)});
-    }
-    emitter.set_trace_id(t.trace_id());
-    Status st;
-    {
-      // Per-tuple operator work must use bound field indices, not
-      // Get(name); see TupleHotPathSection.
-      TupleHotPathSection hot_path;
-      st = box.op->Process(in, t, now, &emitter);
-    }
-    if (!st.ok() && deferred_error_.ok()) deferred_error_ = st;
-    processed++;
-  }
-  if (processed > 0) {
-    double t_b_ms = wait_sum_ms / processed +
-                    (cost_us / processed) / 1000.0;
-    qos_.RecordBoxWork(box_id, t_b_ms, processed);
-    total_activations_++;
-    m_activations_->Add();
-    m_box_exec_us_->Record(cost_us);
-    box.prof_activations->Add();
-    box.prof_tuples->Add(static_cast<uint64_t>(processed));
-    box.prof_self_us->Add(static_cast<uint64_t>(cost_us));
-  }
-  return cost_us;
-}
-
-double AuroraEngine::ActivateBoxBatched(BoxId box_id, SimTime now,
-                                        std::vector<BoxId>* touched) {
-  BoxRt& box = boxes_[box_id];
-  ArcId arc_id = box.in_arcs[0];
-  if (arc_id < 0) return 0.0;
-  ArcRt& a = arcs_[arc_id];
-  const int budget = opts_.train_size;
+  if (boxes_[box_id].prof_activations == nullptr) EnsureBoxProfile(box_id);
+  // Emissions run application callbacks that may grow the model or the
+  // runtime arrays, so both are re-indexed after every ProcessBatch; the
+  // operator itself never moves.
+  Operator* op = net_.box(box_id).op.get();
+  const int n_inputs = op->num_inputs();
+  const int budget = opts_.scheduler == SchedulerPolicy::kTupleAtATime
+                         ? 1
+                         : opts_.train_size;
+  // Chunking a multi-input box would change the round-robin interleaving
+  // across its inputs, and therefore output order.
+  const int chunk_cap = n_inputs == 1 ? std::min(budget, opts_.batch_size) : 1;
   double cost_us = 0.0;
   double wait_sum_ms = 0.0;
   int processed = 0;
   RoutingEmitter emitter(this, box_id, now, touched);
   Tracer& tracer = Tracer::Global();
-  // Stack-local scratch: output callbacks run inside ProcessBatch emissions
-  // and are free to re-enter the engine, so a member buffer could be
-  // clobbered mid-iteration. Column/tuple capacity still amortizes across
-  // the chunks of one activation.
-  TupleBatch batch;
-  batch.Reserve(static_cast<size_t>(std::min(budget, opts_.batch_size)));
-  // The queue is re-checked per chunk, so a self-feeding box sees its own
-  // emissions exactly as the scalar loop would.
-  while (processed < budget && !a.queue.empty()) {
-    const int want = std::min(budget - processed, opts_.batch_size);
+  // Output callbacks run inside ProcessBatch emissions and are free to
+  // re-enter the engine, so only the outermost activation borrows the
+  // member scratch (its capacity then amortizes across activations); a
+  // nested one uses its own.
+  TupleBatch nested_batch;
+  TupleBatch& batch =
+      activation_depth_++ == 0 ? batch_scratch_ : nested_batch;
+  batch.Reserve(static_cast<size_t>(chunk_cap));
+  int idle_scans = 0;
+  // Each round-robin turn takes one chunk from one input; the queue is
+  // re-checked per chunk, so a self-feeding box sees its own emissions.
+  while (processed < budget && idle_scans < n_inputs) {
+    int& rr = boxes_[box_id].rr_next_input;
+    const int in = rr % n_inputs;
+    rr = (rr + 1) % n_inputs;
+    const ArcId arc_id = net_.box(box_id).in_arcs[in];
+    if (arc_id < 0 || arcs_[arc_id].queue.empty()) {
+      idle_scans++;
+      continue;
+    }
+    idle_scans = 0;
+    ArcRt& a = arcs_[arc_id];
+    LatencyHistogram* tuple_cost_hist = boxes_[box_id].prof_tuple_cost_us;
+    const int want = std::min(budget - processed, chunk_cap);
     batch.Clear();
     int got = 0;
-    // Per-tuple accounting identical to the scalar activation loop, with
-    // consecutive equal histogram samples collapsed into one RecordN call
-    // (RecordN is defined to be bit-identical to the per-call sequence).
-    // Runs are flushed in arrival order, so even the floating sum inside
-    // each histogram accumulates in the scalar order.
+    // Per-tuple accounting, with consecutive equal histogram samples
+    // collapsed into one RecordN call (RecordN is defined to be
+    // bit-identical to the per-call sequence). Runs are flushed in arrival
+    // order, so even the floating sum inside each histogram accumulates in
+    // tuple order.
     double run_wait_ms = 0.0, run_cost_us = 0.0;
     uint64_t run_wait_n = 0, run_cost_n = 0;
     const bool tracing = tracer.enabled();
@@ -1148,42 +780,42 @@ double AuroraEngine::ActivateBoxBatched(BoxId box_id, SimTime now,
       }
       run_wait_ms = wait_ms;
       run_wait_n++;
-      double tuple_cost_us = box.op->cost_micros_per_tuple();
+      double tuple_cost_us = op->cost_micros_per_tuple();
       tuple_cost_us += static_cast<double>(a.queue.unspill_reads() -
                                            reads_before) *
                        opts_.spill_read_cost_us;
       cost_us += tuple_cost_us;
       if (run_cost_n > 0 && tuple_cost_us != run_cost_us) {
-        box.prof_tuple_cost_us->RecordN(run_cost_us, run_cost_n);
+        tuple_cost_hist->RecordN(run_cost_us, run_cost_n);
         run_cost_n = 0;
       }
       run_cost_us = tuple_cost_us;
       run_cost_n++;
       if (tracing && t.trace_id() != 0) {
         tracer.Record({t.trace_id(), SpanKind::kBoxExec, trace_node_,
-                       "box:" + box.spec.kind, now.micros(),
+                       "box:" + net_.box(box_id).spec.kind, now.micros(),
                        now.micros() + static_cast<int64_t>(tuple_cost_us)});
       }
       batch.Push(std::move(t), now);
       got++;
     }
     if (run_wait_n > 0) m_queue_wait_ms_->RecordN(run_wait_ms, run_wait_n);
-    if (run_cost_n > 0) box.prof_tuple_cost_us->RecordN(run_cost_us, run_cost_n);
+    if (run_cost_n > 0) tuple_cost_hist->RecordN(run_cost_us, run_cost_n);
     // One scheduler update for the whole dequeue run — same final queued
-    // count and readiness as `got` per-tuple NoteBoxQueued calls, minus the
-    // heap churn.
-    if (a.to.kind == Endpoint::Kind::kBox) NoteBoxQueued(a.to.id, -got);
-    // Seq/trace inheritance happens inside ProcessBatch's BatchEmitter (the
-    // engine can't know per-emission provenance mid-batch), so the routing
-    // emitter's trace id stays unset here.
+    // count and readiness as `got` per-tuple updates, minus the heap churn.
+    NoteBoxQueued(box_id, -got);
     Status st;
     {
+      // Per-tuple operator work must use bound field indices, not
+      // Get(name); see TupleHotPathSection.
       TupleHotPathSection hot_path;
-      st = box.op->ProcessBatch(0, batch, &emitter);
+      st = op->ProcessBatch(in, batch, &emitter);
     }
     if (!st.ok() && deferred_error_.ok()) deferred_error_ = st;
     processed += got;
   }
+  batch.Clear();  // release the last chunk's tuples now
+  activation_depth_--;
   if (processed > 0) {
     double t_b_ms = wait_sum_ms / processed +
                     (cost_us / processed) / 1000.0;
@@ -1191,6 +823,7 @@ double AuroraEngine::ActivateBoxBatched(BoxId box_id, SimTime now,
     total_activations_++;
     m_activations_->Add();
     m_box_exec_us_->Record(cost_us);
+    BoxRt& box = boxes_[box_id];
     box.prof_activations->Add();
     box.prof_tuples->Add(static_cast<uint64_t>(processed));
     box.prof_self_us->Add(static_cast<uint64_t>(cost_us));
@@ -1214,10 +847,11 @@ Result<double> AuroraEngine::RunOneStep(SimTime now) {
   for (int depth = 1; depth < opts_.train_depth && !touched.empty(); ++depth) {
     std::vector<BoxId> next;
     for (BoxId b : touched) {
-      if (BoxReady(boxes_[b])) cost_us += ActivateBox(b, now, &next);
+      if (BoxReady(b)) cost_us += ActivateBox(b, now, &next);
     }
     touched = std::move(next);
   }
+  PublishRouteCounts();
   storage_.EnforceBudget(AllQueues());
   total_cpu_micros_ += cost_us;
   m_queue_depth_->Set(static_cast<double>(TotalQueuedTuples()));
@@ -1240,23 +874,22 @@ Status AuroraEngine::RunUntilQuiescent(SimTime now, int max_steps) {
 
 void AuroraEngine::Tick(SimTime now) {
   for (size_t i = 0; i < boxes_.size(); ++i) {
-    BoxRt& box = boxes_[i];
-    if (box.removed || !box.initialized) continue;
-    RoutingEmitter emitter(this, static_cast<BoxId>(i), now, nullptr);
-    box.op->OnTick(now, &emitter);
+    const BoxId id = static_cast<BoxId>(i);
+    if (!net_.IsBoxInitialized(id)) continue;
+    RoutingEmitter emitter(this, id, now, nullptr);
+    net_.box(id).op->OnTick(now, &emitter);
   }
+  PublishRouteCounts();
   // The tiered store's dropper (group fsync, segment seal, compaction) runs
   // on the same deterministic tick cadence as the operators.
   if (durable_store_ != nullptr) durable_store_->Tick(now);
 }
 
 Status AuroraEngine::DrainBoxState(BoxId box, SimTime now) {
-  if (box < 0 || box >= static_cast<int>(boxes_.size()) ||
-      boxes_[box].removed) {
-    return Status::InvalidArgument("bad box id");
-  }
+  if (!net_.HasBox(box)) return Status::InvalidArgument("bad box id");
   RoutingEmitter emitter(this, box, now, nullptr);
-  boxes_[box].op->Drain(&emitter);
+  net_.box(box).op->Drain(&emitter);
+  PublishRouteCounts();
   return Status::OK();
 }
 
@@ -1264,56 +897,22 @@ Status AuroraEngine::DrainBoxState(BoxId box, SimTime now) {
 // Support
 // ---------------------------------------------------------------------------
 
-void AuroraEngine::RecomputeOutputDistances() {
-  // Reverse BFS from output ports.
-  for (auto& box : boxes_) box.distance_to_output = 1 << 20;
-  std::deque<std::pair<BoxId, int>> frontier;
-  for (const auto& out : outputs_) {
-    for (ArcId arc : out.in_arcs) {
-      const ArcRt& a = arcs_[arc];
-      if (a.removed) continue;
-      if (a.from.kind == Endpoint::Kind::kBox) {
-        frontier.emplace_back(a.from.id, 0);
-      }
-    }
-  }
-  while (!frontier.empty()) {
-    auto [box_id, dist] = frontier.front();
-    frontier.pop_front();
-    BoxRt& box = boxes_[box_id];
-    if (box.removed || box.distance_to_output <= dist) continue;
-    box.distance_to_output = dist;
-    for (ArcId arc : box.in_arcs) {
-      if (arc < 0) continue;
-      const ArcRt& a = arcs_[arc];
-      if (a.from.kind == Endpoint::Kind::kBox) {
-        frontier.emplace_back(a.from.id, dist + 1);
-      }
-    }
-  }
-  // Distances feed kMinOutputDistance's scheduler keys, and every caller is
-  // a topology change (connect, disconnect, box init) that can also flip
-  // readiness — reseed the ready-queue accounting in one place.
-  RebuildScheduler();
-}
-
 std::vector<SpillableQueue> AuroraEngine::AllQueues() {
   std::vector<SpillableQueue> queues;
   queues.reserve(arcs_.size());
   for (size_t i = 0; i < arcs_.size(); ++i) {
-    ArcRt& a = arcs_[i];
+    const QueryNetwork::Arc& a = net_.arc(static_cast<ArcId>(i));
     if (!a.removed && a.to.kind == Endpoint::Kind::kBox) {
-      queues.push_back(SpillableQueue{&a.queue, static_cast<int>(i)});
+      queues.push_back(SpillableQueue{&arcs_[i].queue, static_cast<int>(i)});
     }
   }
   return queues;
 }
 
 size_t AuroraEngine::TotalQueuedTuples() const {
+  // Removed arcs were emptied before Disconnect, so they add nothing.
   size_t total = 0;
-  for (const auto& a : arcs_) {
-    if (!a.removed) total += a.queue.size();
-  }
+  for (const auto& a : arcs_) total += a.queue.size();
   return total;
 }
 
@@ -1323,11 +922,10 @@ void AuroraEngine::SetIngestBlocked(bool blocked) {
 }
 
 size_t AuroraEngine::InputBacklogBytes(PortId input) const {
-  if (input < 0 || input >= static_cast<int>(inputs_.size())) return 0;
+  if (input < 0 || input >= static_cast<int>(net_.num_inputs())) return 0;
   size_t bytes = 0;
-  for (ArcId arc : inputs_[input].out_arcs) {
+  for (ArcId arc : net_.input(input).out_arcs) {
     const ArcRt& a = arcs_[arc];
-    if (a.removed) continue;
     bytes += a.queue.bytes();
     for (const auto& [t, us] : a.hold) bytes += t.WireSize();
   }
@@ -1340,16 +938,16 @@ void AuroraEngine::RebuildShedderModel() {
   std::function<double(const Endpoint&)> cost_from =
       [&](const Endpoint& from) -> double {
     double total = 0.0;
-    for (ArcId arc : ArcsFrom(from)) {
-      const ArcRt& a = arcs_[arc];
-      if (a.to.kind != Endpoint::Kind::kBox) continue;
-      const BoxRt& box = boxes_[a.to.id];
+    for (ArcId arc : net_.ArcsFrom(from)) {
+      const Endpoint to = net_.arc(arc).to;
+      if (to.kind != Endpoint::Kind::kBox) continue;
+      const QueryNetwork::Box& box = net_.box(to.id);
       if (!box.initialized) continue;
       double c = box.op->cost_micros_per_tuple();
       double sel = box.op->selectivity();
       double downstream = 0.0;
       for (int k = 0; k < box.op->num_outputs(); ++k) {
-        downstream += cost_from(Endpoint::BoxPort(a.to.id, k));
+        downstream += cost_from(Endpoint::BoxPort(to.id, k));
       }
       total += c + sel * downstream;
     }
@@ -1357,7 +955,8 @@ void AuroraEngine::RebuildShedderModel() {
   };
 
   std::vector<LoadShedder::InputInfo> infos;
-  for (size_t i = 0; i < inputs_.size(); ++i) {
+  for (size_t i = 0; i < net_.num_inputs(); ++i) {
+    const SchemaPtr& schema = net_.input(static_cast<PortId>(i)).schema;
     LoadShedder::InputInfo info;
     info.input = static_cast<PortId>(i);
     info.downstream_cost_us =
@@ -1378,12 +977,12 @@ void AuroraEngine::RebuildShedderModel() {
       // whose attribute exists on this input's schema.
       if (spec != nullptr && !spec->value.empty() &&
           info.value_graph.empty() &&
-          inputs_[i].schema->HasField(spec->value_field)) {
+          schema->HasField(spec->value_field)) {
         info.value_field = spec->value_field;
         info.value_graph = spec->value;
         // Resolve the field index once here so the per-tuple shedding
         // decision is an array access, not a field-name scan.
-        auto idx = inputs_[i].schema->IndexOf(spec->value_field);
+        auto idx = schema->IndexOf(spec->value_field);
         if (idx.ok()) info.value_index = static_cast<int>(*idx);
       }
     }

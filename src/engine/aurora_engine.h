@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,8 +14,8 @@
 #include "common/sim_time.h"
 #include "engine/load_shedder.h"
 #include "engine/qos_monitor.h"
+#include "engine/query_network.h"
 #include "engine/storage_manager.h"
-#include "engine/topology.h"
 #include "obs/metrics.h"
 #include "ops/operator.h"
 #include "qos/inference.h"
@@ -46,15 +47,15 @@ struct EngineOptions {
   SchedulerPolicy scheduler = SchedulerPolicy::kLongestQueue;
   /// Max tuples consumed per box activation (train scheduling, §2.3).
   int train_size = 64;
-  /// Tuples handed to one Operator::ProcessBatch call. 1 = the scalar path
-  /// (one virtual Process per tuple). >1 enables the batched path for
-  /// single-input boxes: up to this many tuples are dequeued per box
-  /// activation into a TupleBatch (never exceeding train_size), amortizing
-  /// dispatch and scheduler bookkeeping. Multi-input boxes and
-  /// kTupleAtATime stay scalar — batching a multi-input box would change
-  /// the round-robin interleaving across its inputs, and therefore output
-  /// order. Outputs are bit-identical either way (gated by the simcheck
-  /// golden seeds and the batch-vs-scalar property suite).
+  /// Most tuples handed to one Operator::ProcessBatch call. Every box
+  /// activation runs one loop: each round-robin turn dequeues a chunk of
+  /// min(batch_size, remaining train budget) tuples from a single-input box,
+  /// or exactly one tuple from a multi-input box (larger chunks would change
+  /// the interleaving across its inputs, and therefore output order). Under
+  /// kTupleAtATime the budget itself is one tuple. A one-tuple chunk runs
+  /// the operator's scalar Process, so 1 is the scalar oracle; outputs are
+  /// bit-identical at every size (gated by the simcheck golden seeds and
+  /// the batch-vs-scalar property suite).
   int batch_size = 1;
   /// How far a train is pushed toward the output within one step: after a
   /// box activation, boxes that received its emissions are activated too,
@@ -73,9 +74,10 @@ struct EngineOptions {
 
 /// \brief Single-node Aurora run-time (paper §2, Fig. 3).
 ///
-/// Owns the query network (boxes + arcs with queues), the train scheduler,
-/// the storage manager, the QoS monitor, and the load shedder. The network
-/// is fully dynamic: boxes and arcs can be added, choked, drained, and
+/// Executes a QueryNetwork (the shared model of ports, boxes, and arcs) with
+/// per-arc queues beside it, and owns the train scheduler, the storage
+/// manager, the QoS monitor, and the load shedder. The network is fully
+/// dynamic: boxes and arcs can be added, choked, drained, and
 /// removed at run time — the primitive operations the distributed layer's
 /// box sliding and splitting are built from.
 ///
@@ -153,26 +155,39 @@ class AuroraEngine {
 
   // ---- Lookup ----------------------------------------------------------
 
-  Result<PortId> FindInput(const std::string& name) const;
-  Result<PortId> FindOutput(const std::string& name) const;
-  const std::string& input_name(PortId p) const { return inputs_[p].name; }
-  const std::string& output_name(PortId p) const { return outputs_[p].name; }
-  SchemaPtr input_schema(PortId p) const { return inputs_[p].schema; }
+  Result<PortId> FindInput(const std::string& name) const {
+    return net_.FindInput(name);
+  }
+  Result<PortId> FindOutput(const std::string& name) const {
+    return net_.FindOutput(name);
+  }
+  const std::string& input_name(PortId p) const { return net_.input(p).name; }
+  const std::string& output_name(PortId p) const {
+    return net_.output(p).name;
+  }
+  SchemaPtr input_schema(PortId p) const { return net_.input(p).schema; }
   /// Arc entering (box, input index), or NotFound.
-  Result<ArcId> FindArcInto(BoxId box, int input_index) const;
-  /// All arcs leaving an endpoint.
-  std::vector<ArcId> ArcsFrom(Endpoint from) const;
-  std::vector<ArcId> ArcsInto(PortId output_port) const;
+  Result<ArcId> FindArcInto(BoxId box, int input_index) const {
+    return net_.FindArcInto(box, input_index);
+  }
+  /// All arcs leaving an endpoint. Invalidated by the next topology change;
+  /// copy it before rewiring.
+  std::span<const ArcId> ArcsFrom(Endpoint from) const {
+    return net_.ArcsFrom(from);
+  }
+  std::span<const ArcId> ArcsInto(PortId output_port) const {
+    return net_.ArcsInto(output_port);
+  }
   Result<const OperatorSpec*> BoxSpec(BoxId box) const;
   Result<Operator*> BoxOp(BoxId box);
-  std::vector<BoxId> BoxIds() const;
-  Endpoint ArcFrom(ArcId arc) const;
-  Endpoint ArcTo(ArcId arc) const;
+  std::vector<BoxId> BoxIds() const { return net_.BoxIds(); }
+  Endpoint ArcFrom(ArcId arc) const { return net_.arc(arc).from; }
+  Endpoint ArcTo(ArcId arc) const { return net_.arc(arc).to; }
   size_t ArcQueueSize(ArcId arc) const;
   /// Smallest non-zero sequence number among tuples queued (or held) on the
   /// arc; kNoSeqNo when none. Used by the HA truncation protocol (§6.2).
   SeqNo ArcQueueMinSeq(ArcId arc) const;
-  size_t num_boxes() const;
+  size_t num_boxes() const { return net_.BoxIds().size(); }
   /// Copy of the callback registered on an output port (may be empty).
   OutputCallback GetOutputCallback(PortId output) const;
 
@@ -281,33 +296,15 @@ class AuroraEngine {
   int trace_node() const { return trace_node_; }
 
  private:
-  struct InputPort {
-    std::string name;
-    SchemaPtr schema;
-    std::vector<ArcId> out_arcs;
-  };
-  struct OutputPort {
-    std::string name;
-    OutputCallback callback;
-    std::vector<ArcId> in_arcs;
-  };
+  /// Runtime state beside each QueryNetwork box (same index).
   struct BoxRt {
-    OperatorSpec spec;
-    OperatorPtr op;
-    bool initialized = false;
-    bool removed = false;
-    /// Arc into each input index (-1 = unconnected).
-    std::vector<ArcId> in_arcs;
-    /// Arcs out of each output index (fan-out allowed).
-    std::vector<std::vector<ArcId>> out_arcs;
     int rr_next_input = 0;
-    int distance_to_output = 1 << 20;
     /// Latency budget for tuples entering this box (kQoSSlack); +inf when
     /// no QoS-bearing output is reachable.
     double deadline_ms = 1e18;
     /// Tuples consumable across all in-arcs (choked queues still drain, so
-    /// they count). Maintained by ArcEnqueue/ArcDequeue; a box is ready iff
-    /// initialized && !removed && queued > 0.
+    /// they count). Maintained by ArcEnqueueChunk/ArcDequeue; a box is ready
+    /// iff initialized && !removed && queued > 0.
     size_t queued = 0;
     /// Bumped whenever this box's scheduler key may have changed; stale
     /// ready-heap entries (entry.gen != sched_gen) are discarded lazily.
@@ -320,10 +317,8 @@ class AuroraEngine {
     Counter* prof_self_us = nullptr;
     LatencyHistogram* prof_tuple_cost_us = nullptr;
   };
+  /// Runtime state beside each QueryNetwork arc (same index).
   struct ArcRt {
-    Endpoint from;
-    Endpoint to;
-    bool removed = false;
     bool choked = false;
     StreamQueue queue;
     std::deque<int64_t> enqueue_us;  // parallel to queue items
@@ -353,56 +348,53 @@ class AuroraEngine {
     }
   };
 
-  Result<SchemaPtr> EndpointOutputSchema(const Endpoint& e) const;
-  /// Delivers one emitted tuple from `from` to all its arcs.
-  void Route(const Endpoint& from, const Tuple& t, SimTime now,
-             std::vector<BoxId>* touched);
-  /// Chunked Route: `n` tuples emitted to one endpoint in emission order
-  /// (the flush of a BatchEmitter's staged run). Per destination arc the
-  /// whole chunk is applied at once — one queue-append run, one
-  /// NoteBoxQueued delta, one touched-dedup probe — instead of per tuple.
+  /// Delivers `n` tuples emitted to one endpoint, in emission order, to all
+  /// its arcs — the one routing path (a scalar emission is a chunk of one).
+  /// Per destination arc the whole chunk is applied at once: one
+  /// queue-append run, one NoteBoxQueued delta, one touched-dedup probe.
   /// Arc-major iteration preserves everything the gates observe: per-arc
-  /// FIFO, per-output delivery order, and per-CP record order all match the
-  /// tuple-major scalar loop because each is per-destination state.
-  /// Consumes (moves from) the span.
+  /// FIFO, per-output delivery order, and per-CP record order are each
+  /// per-destination state. Consumes (moves from) the span.
   void RouteChunk(const Endpoint& from, Tuple* tuples, size_t n, SimTime now,
                   std::vector<BoxId>* touched);
+  /// Adds what RouteChunk counted to the engine.batch.* registry counters,
+  /// once per PushInput, RunOneStep, Tick and DrainBoxState: per-hop atomic
+  /// adds would cost more than a chunk of one's routing.
+  void PublishRouteCounts();
   void DeliverToOutput(PortId port, const Tuple& t, SimTime now);
   Result<BoxId> PickBox(SimTime now);
-  /// Activates one box: consumes up to train_size tuples. Returns cost.
+  /// Activates one box: consumes up to train_size tuples (one under
+  /// kTupleAtATime) in round-robin chunks, one ProcessBatch call and one
+  /// scheduler update per chunk (see EngineOptions::batch_size). Returns cost.
   double ActivateBox(BoxId box, SimTime now, std::vector<BoxId>* touched);
-  /// Batched activation (batch_size > 1, single-input box): dequeues up to
-  /// batch_size tuples per ProcessBatch call, with per-tuple accounting
-  /// identical to the scalar loop and one scheduler update per dequeue run.
-  double ActivateBoxBatched(BoxId box, SimTime now,
-                            std::vector<BoxId>* touched);
   /// Registers the box's profiler series on first activation.
-  void EnsureBoxProfile(BoxId box_id, BoxRt* box);
-  void RecomputeOutputDistances();
-  bool BoxReady(const BoxRt& box) const;
+  void EnsureBoxProfile(BoxId box_id);
+  bool BoxReady(BoxId box) const;
   // ---- Ready-queue maintenance (see docs/PERFORMANCE.md) ---------------
   /// All consumable-queue mutations funnel through these two so per-box
   /// `queued` counters, ready_count_, and the ready heap stay exact.
-  void ArcEnqueue(ArcRt& arc, Tuple t, int64_t enqueue_us);
-  /// Bulk ArcEnqueue: appends `n` tuples with one scheduler delta. With
+  /// ArcEnqueueChunk appends `n` tuples with one scheduler delta. With
   /// `may_move` the span's handles are moved (last arc of a fan-out);
   /// otherwise each arc takes its own cheap COW handle copy.
-  void ArcEnqueueChunk(ArcRt& arc, Tuple* tuples, size_t n,
-                       int64_t enqueue_us, bool may_move);
-  Tuple ArcDequeue(ArcRt& arc);
+  void ArcEnqueueChunk(ArcId arc, Tuple* tuples, size_t n, int64_t enqueue_us,
+                       bool may_move);
+  Tuple ArcDequeue(ArcId arc);
   /// Applies a queue-size delta to a box's scheduler accounting.
   void NoteBoxQueued(BoxId box, int delta);
   /// Scheduler key under the current heap policy (queue length for
   /// kLongestQueue, negated output distance for kMinOutputDistance).
-  int64_t SchedKey(const BoxRt& box) const;
+  int64_t SchedKey(BoxId box) const;
   bool UsesReadyHeap() const {
     return opts_.scheduler == SchedulerPolicy::kLongestQueue ||
            opts_.scheduler == SchedulerPolicy::kMinOutputDistance;
   }
   /// Recounts `queued`/ready_count_ and reseeds the heap from scratch.
-  /// Called after topology changes (box init/adopt/remove, connect,
-  /// disconnect) — rare, so O(boxes + arcs) is fine there.
+  /// Called after topology changes (connect, disconnect, box init) — rare,
+  /// so O(boxes + arcs) is fine there. Also the one place output distances,
+  /// which kMinOutputDistance keys on, are picked up.
   void RebuildScheduler();
+  /// Runtime state of a live arc, or nullptr for a bad / removed id.
+  ArcRt* LiveArc(ArcId arc);
   std::vector<SpillableQueue> AllQueues();
   /// Binds one arc's connection point to the durable store (no-op when no
   /// store is attached or the point is already bound).
@@ -413,10 +405,10 @@ class AuroraEngine {
                       std::map<PortId, double>* outputs_cost) const;
 
   EngineOptions opts_;
-  std::vector<InputPort> inputs_;
-  std::vector<OutputPort> outputs_;
-  std::vector<BoxRt> boxes_;
-  std::vector<ArcRt> arcs_;
+  QueryNetwork net_;
+  std::vector<OutputCallback> output_callbacks_;  // per output port
+  std::vector<BoxRt> boxes_;                      // per QueryNetwork box
+  std::vector<ArcRt> arcs_;                       // per QueryNetwork arc
   std::map<std::string, ArcId> connection_points_;
   QoSMonitor qos_;
   StorageManager storage_;
@@ -456,6 +448,18 @@ class AuroraEngine {
   Counter* m_batch_chunk_enqueued_;
   Counter* m_batch_chunk_delivered_;
   Counter* m_batch_chunk_held_;
+  struct RouteCounts {
+    uint64_t chunks = 0;
+    uint64_t tuples = 0;
+    uint64_t fanout = 0;
+    uint64_t enqueued = 0;
+    uint64_t delivered = 0;
+    uint64_t held = 0;
+  };
+  RouteCounts route_counts_;  // not yet published; see PublishRouteCounts
+  /// Dequeue scratch of the outermost running ActivateBox.
+  TupleBatch batch_scratch_;
+  int activation_depth_ = 0;
   Status deferred_error_;  // first error raised inside an emitter callback
 };
 

@@ -76,7 +76,8 @@ Result<bool> NetworkOptimizer::TryPushOverMap(BoxId filter, ArcId in_arc,
 
   auto map_in = engine_->FindArcInto(map, 0);
   if (!map_in.ok()) return false;
-  std::vector<ArcId> out_arcs = engine_->ArcsFrom(Endpoint::BoxPort(filter, 0));
+  auto out_span = engine_->ArcsFrom(Endpoint::BoxPort(filter, 0));
+  std::vector<ArcId> out_arcs(out_span.begin(), out_span.end());
   if (!ArcIdle(in_arc) || !ArcIdle(*map_in)) return false;
   for (ArcId arc : out_arcs) {
     if (!ArcIdle(arc)) return false;
@@ -119,7 +120,8 @@ Result<bool> NetworkOptimizer::TryPushOverUnion(BoxId filter, ArcId in_arc,
     AURORA_ASSIGN_OR_RETURN(union_ins[i], engine_->FindArcInto(union_box, i));
     if (!ArcIdle(union_ins[i])) return false;
   }
-  std::vector<ArcId> out_arcs = engine_->ArcsFrom(Endpoint::BoxPort(filter, 0));
+  auto out_span = engine_->ArcsFrom(Endpoint::BoxPort(filter, 0));
+  std::vector<ArcId> out_arcs(out_span.begin(), out_span.end());
   if (!ArcIdle(in_arc)) return false;
   for (ArcId arc : out_arcs) {
     if (!ArcIdle(arc)) return false;
@@ -170,7 +172,8 @@ Result<bool> NetworkOptimizer::TryReorderFilters(BoxId second, ArcId in_arc,
 
   auto first_in = engine_->FindArcInto(first, 0);
   if (!first_in.ok()) return false;
-  std::vector<ArcId> out_arcs = engine_->ArcsFrom(Endpoint::BoxPort(second, 0));
+  auto out_span = engine_->ArcsFrom(Endpoint::BoxPort(second, 0));
+  std::vector<ArcId> out_arcs(out_span.begin(), out_span.end());
   if (!ArcIdle(*first_in) || !ArcIdle(in_arc)) return false;
   for (ArcId arc : out_arcs) {
     if (!ArcIdle(arc)) return false;

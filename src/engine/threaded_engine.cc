@@ -37,182 +37,31 @@ ThreadedEngine::~ThreadedEngine() {
 
 Result<PortId> ThreadedEngine::AddInput(const std::string& name,
                                         SchemaPtr schema) {
-  if (schema == nullptr) {
-    return Status::InvalidArgument("input '" + name + "' needs a schema");
-  }
-  for (const auto& in : inputs_) {
-    if (in.name == name) {
-      return Status::AlreadyExists("input '" + name + "' already exists");
-    }
-  }
-  inputs_.push_back(InputPort{name, std::move(schema), {}});
-  return static_cast<PortId>(inputs_.size() - 1);
+  AURORA_CHECK(!frozen_) << "AddInput after Start";
+  return net_.AddInput(name, std::move(schema));
 }
 
 Result<PortId> ThreadedEngine::AddOutput(const std::string& name) {
-  for (const auto& out : outputs_) {
-    if (out.name == name) {
-      return Status::AlreadyExists("output '" + name + "' already exists");
-    }
-  }
-  outputs_.emplace_back(name);
-  return static_cast<PortId>(outputs_.size() - 1);
-}
-
-Result<BoxId> ThreadedEngine::AddBox(const OperatorSpec& spec) {
-  AURORA_ASSIGN_OR_RETURN(OperatorPtr op, CreateOperator(spec));
-  boxes_.emplace_back();
-  BoxRt& box = boxes_.back();
-  box.spec = spec;
-  box.in_arcs.assign(static_cast<size_t>(op->num_inputs()), -1);
-  box.out_arcs.assign(static_cast<size_t>(op->num_outputs()), {});
-  box.op = std::move(op);
-  return static_cast<BoxId>(boxes_.size() - 1);
-}
-
-Result<ArcId> ThreadedEngine::Connect(Endpoint from, Endpoint to) {
-  AURORA_CHECK(!running()) << "Connect after Start";
-  switch (from.kind) {
-    case Endpoint::Kind::kInputPort:
-      if (from.id < 0 || from.id >= static_cast<int>(inputs_.size())) {
-        return Status::InvalidArgument("bad input port " + from.ToString());
-      }
-      break;
-    case Endpoint::Kind::kBox: {
-      if (from.id < 0 || from.id >= static_cast<int>(boxes_.size())) {
-        return Status::InvalidArgument("bad source box " + from.ToString());
-      }
-      const BoxRt& b = boxes_[from.id];
-      if (from.index < 0 || from.index >= b.op->num_outputs()) {
-        return Status::InvalidArgument("bad box output " + from.ToString());
-      }
-      break;
-    }
-    case Endpoint::Kind::kOutputPort:
-      return Status::InvalidArgument("cannot connect from an output port");
-  }
-  switch (to.kind) {
-    case Endpoint::Kind::kInputPort:
-      return Status::InvalidArgument("cannot connect into an input port");
-    case Endpoint::Kind::kBox: {
-      if (to.id < 0 || to.id >= static_cast<int>(boxes_.size())) {
-        return Status::InvalidArgument("bad destination box " + to.ToString());
-      }
-      BoxRt& b = boxes_[to.id];
-      if (to.index < 0 || to.index >= b.op->num_inputs()) {
-        return Status::InvalidArgument("bad box input " + to.ToString());
-      }
-      if (b.in_arcs[to.index] >= 0) {
-        return Status::AlreadyExists("box input " + to.ToString() +
-                                     " already connected");
-      }
-      break;
-    }
-    case Endpoint::Kind::kOutputPort:
-      if (to.id < 0 || to.id >= static_cast<int>(outputs_.size())) {
-        return Status::InvalidArgument("bad output port " + to.ToString());
-      }
-      break;
-  }
-
-  ArcId id = static_cast<ArcId>(arcs_.size());
-  arcs_.emplace_back();
-  arcs_[id].from = from;
-  arcs_[id].to = to;
-  if (from.kind == Endpoint::Kind::kInputPort) {
-    inputs_[from.id].out_arcs.push_back(id);
-  } else {
-    boxes_[from.id].out_arcs[from.index].push_back(id);
-  }
-  if (to.kind == Endpoint::Kind::kBox) {
-    boxes_[to.id].in_arcs[to.index] = id;
-  }
+  AURORA_CHECK(!frozen_) << "AddOutput after Start";
+  AURORA_ASSIGN_OR_RETURN(PortId id, net_.AddOutput(name));
+  output_callbacks_.emplace_back();
   return id;
 }
 
-Result<SchemaPtr> ThreadedEngine::EndpointOutputSchema(
-    const Endpoint& e) const {
-  switch (e.kind) {
-    case Endpoint::Kind::kInputPort:
-      return inputs_[e.id].schema;
-    case Endpoint::Kind::kBox: {
-      const BoxRt& b = boxes_[e.id];
-      if (!b.initialized) {
-        return Status::FailedPrecondition("box " + std::to_string(e.id) +
-                                          " not initialized yet");
-      }
-      return b.op->output_schema(e.index);
-    }
-    case Endpoint::Kind::kOutputPort:
-      return Status::InvalidArgument("output ports have no schema");
-  }
-  return Status::Internal("bad endpoint kind");
+Result<BoxId> ThreadedEngine::AddBox(const OperatorSpec& spec) {
+  AURORA_CHECK(!frozen_) << "AddBox after Start";
+  return net_.AddBox(spec);
 }
 
-bool ThreadedEngine::IsBoxInitialized(BoxId box) const {
-  if (box < 0 || box >= static_cast<int>(boxes_.size())) return false;
-  return boxes_[box].initialized;
-}
-
-Status ThreadedEngine::InitializeBoxes(bool require_all) {
-  // Fixed-point pass, as AuroraEngine::InitializeBoxes: initialize every
-  // box whose input schemas are available; loop-free networks terminate.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t i = 0; i < boxes_.size(); ++i) {
-      BoxRt& box = boxes_[i];
-      if (box.initialized) continue;
-      std::vector<SchemaPtr> schemas;
-      bool ready = true;
-      for (int in = 0; in < box.op->num_inputs() && ready; ++in) {
-        ArcId arc = box.in_arcs[in];
-        if (arc < 0) {
-          ready = false;
-          break;
-        }
-        auto schema = EndpointOutputSchema(arcs_[arc].from);
-        if (!schema.ok()) {
-          ready = false;
-          break;
-        }
-        schemas.push_back(*schema);
-      }
-      if (!ready) continue;
-      AURORA_RETURN_NOT_OK(box.op->Init(std::move(schemas)));
-      box.initialized = true;
-      progress = true;
-    }
-  }
-  if (require_all) {
-    for (size_t i = 0; i < boxes_.size(); ++i) {
-      if (!boxes_[i].initialized) {
-        return Status::FailedPrecondition(
-            "box " + std::to_string(i) + " (" + boxes_[i].spec.kind +
-            ") could not be initialized (unconnected input or cycle)");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<PortId> ThreadedEngine::FindInput(const std::string& name) const {
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    if (inputs_[i].name == name) return static_cast<PortId>(i);
-  }
-  return Status::NotFound("no input '" + name + "'");
-}
-
-Result<PortId> ThreadedEngine::FindOutput(const std::string& name) const {
-  for (size_t i = 0; i < outputs_.size(); ++i) {
-    if (outputs_[i].name == name) return static_cast<PortId>(i);
-  }
-  return Status::NotFound("no output '" + name + "'");
+Result<ArcId> ThreadedEngine::Connect(Endpoint from, Endpoint to) {
+  AURORA_CHECK(!frozen_) << "Connect after Start";
+  return net_.Connect(from, to);
 }
 
 void ThreadedEngine::SetOutputCallback(PortId output, OutputCallback cb) {
-  AURORA_CHECK(output >= 0 && output < static_cast<int>(outputs_.size()));
-  outputs_[output].callback = std::move(cb);
+  AURORA_CHECK(output >= 0 &&
+               output < static_cast<int>(output_callbacks_.size()));
+  output_callbacks_[output] = std::move(cb);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,7 +84,8 @@ void ThreadedEngine::PartitionBoxes() {
   int n = static_cast<int>(boxes_.size());
   std::vector<int> parent(n);
   for (int i = 0; i < n; ++i) parent[i] = i;
-  for (const ArcRt& arc : arcs_) {
+  for (size_t i = 0; i < net_.num_arc_slots(); ++i) {
+    const QueryNetwork::Arc& arc = net_.arc(static_cast<ArcId>(i));
     if (arc.from.is_box() && arc.to.is_box()) {
       int a = FindRoot(parent, arc.from.id);
       int b = FindRoot(parent, arc.to.id);
@@ -259,7 +109,7 @@ void ThreadedEngine::PartitionBoxes() {
     }
     Component& c = comps[comp_of[root]];
     c.members.push_back(i);
-    c.cost += boxes_[i].op->cost_micros_per_tuple();
+    c.cost += net_.box(i).op->cost_micros_per_tuple();
   }
   // Greedy LPT: heaviest component to the least-loaded worker; determinism
   // via (cost desc, root asc) ordering and lowest-index tie-break.
@@ -279,54 +129,31 @@ void ThreadedEngine::PartitionBoxes() {
   }
 }
 
-void ThreadedEngine::ComputePriorities() {
-  // Reverse BFS from output-port arcs: boxes closer to an output run first
-  // (the kMinOutputDistance discipline), which drains rings instead of
-  // growing them.
-  constexpr int kFar = 1 << 20;
-  std::vector<int> dist(boxes_.size(), kFar);
-  std::vector<BoxId> frontier;
-  for (const ArcRt& arc : arcs_) {
-    if (arc.to.kind == Endpoint::Kind::kOutputPort && arc.from.is_box()) {
-      if (dist[arc.from.id] > 1) {
-        dist[arc.from.id] = 1;
-        frontier.push_back(arc.from.id);
-      }
-    }
-  }
-  while (!frontier.empty()) {
-    std::vector<BoxId> next;
-    for (BoxId b : frontier) {
-      for (ArcId in : boxes_[b].in_arcs) {
-        if (in < 0 || !arcs_[in].from.is_box()) continue;
-        BoxId up = arcs_[in].from.id;
-        if (dist[up] > dist[b] + 1) {
-          dist[up] = dist[b] + 1;
-          next.push_back(up);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  for (size_t i = 0; i < boxes_.size(); ++i) {
-    boxes_[i].priority = -static_cast<int64_t>(dist[i]);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Start / Stop
 // ---------------------------------------------------------------------------
 
 Status ThreadedEngine::Start() {
   if (running()) return Status::FailedPrecondition("engine already running");
-  AURORA_RETURN_NOT_OK(InitializeBoxes());
-  for (ArcRt& arc : arcs_) {
-    if (arc.to.is_box() && arc.ring == nullptr) {
-      arc.ring = std::make_unique<BoundedRing<Tuple>>(opts_.ring_capacity);
+  AURORA_RETURN_NOT_OK(net_.InitializeBoxes());
+  if (!frozen_) {
+    frozen_ = true;
+    boxes_ = std::vector<BoxRt>(net_.num_box_slots());
+    outputs_ = std::vector<OutputRt>(net_.num_outputs());
+    rings_.resize(net_.num_arc_slots());
+    for (size_t i = 0; i < rings_.size(); ++i) {
+      if (net_.arc(static_cast<ArcId>(i)).to.is_box()) {
+        rings_[i] = std::make_unique<BoundedRing<Tuple>>(opts_.ring_capacity);
+      }
+    }
+    PartitionBoxes();
+    // Boxes nearer an output run first (the kMinOutputDistance
+    // discipline), which drains rings instead of growing them.
+    for (size_t i = 0; i < boxes_.size(); ++i) {
+      const int dist = net_.box(static_cast<BoxId>(i)).distance_to_output;
+      boxes_[i].priority = -static_cast<int64_t>(dist);
     }
   }
-  PartitionBoxes();
-  ComputePriorities();
   {
     std::lock_guard<std::mutex> lock(error_mu_);
     deferred_error_ = Status::OK();
@@ -355,9 +182,10 @@ void ThreadedEngine::WaitQuiescent() {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 #ifndef NDEBUG
-  for (const ArcRt& arc : arcs_) {
-    if (arc.ring != nullptr) {
-      AURORA_DCHECK(arc.ring->EmptyApprox())
+  for (size_t i = 0; i < rings_.size(); ++i) {
+    if (rings_[i] != nullptr) {
+      const QueryNetwork::Arc& arc = net_.arc(static_cast<ArcId>(i));
+      AURORA_DCHECK(rings_[i]->EmptyApprox())
           << "quiescent with tuples on arc " << arc.from.ToString() << "->"
           << arc.to.ToString();
     }
@@ -444,152 +272,72 @@ void ThreadedEngine::RunReadyItem(int box, int worker) {
   PostRun(box, worker);
 }
 
-/// Routes operator emissions: box-to-box arcs through rings, output-port
-/// arcs to the (mutex-serialized) delivery callback.
-class ThreadedEngine::RoutingEmitter : public Emitter {
+/// Routes a box's emissions. Lineage stamping (seq and trace id) happens
+/// in the operator's emitter wrappers, so a scalar emission is just a chunk
+/// of one.
+class ThreadedEngine::RoutingEmitter final : public Emitter {
  public:
-  RoutingEmitter(ThreadedEngine* engine, BoxId box, SimTime now, int worker)
-      : engine_(engine), box_(box), now_(now), worker_(worker) {}
+  RoutingEmitter(ThreadedEngine* engine, BoxId box, int worker)
+      : engine_(engine), box_(box), worker_(worker) {}
 
-  void Emit(int output, Tuple t) override {
-    BoxRt& b = engine_->boxes_[box_];
-    AURORA_CHECK(output >= 0 && output < static_cast<int>(b.out_arcs.size()))
-        << "emit on unknown box output " << output;
-    const std::vector<ArcId>& fan = b.out_arcs[output];
-    for (size_t i = 0; i < fan.size(); ++i) {
-      const ArcRt& arc = engine_->arcs_[fan[i]];
-      // COW handle copy for all but the last branch.
-      Tuple branch = (i + 1 == fan.size()) ? std::move(t) : t;
-      if (arc.to.is_box()) {
-        engine_->EnqueueArc(fan[i], std::move(branch), worker_);
-      } else {
-        engine_->DeliverToOutput(arc.to.id, branch, worker_);
-      }
-    }
-  }
+  void Emit(int output, Tuple t) override { EmitChunk(output, &t, 1); }
 
-  /// Chunked sink for the batched path: each box-bound branch takes the
-  /// whole span through the ring's multi-push (one release store per
-  /// published run); output branches stay per-tuple (the callback contract
-  /// is per tuple). Per-arc FIFO is unchanged — the span is already in
-  /// emission order and each arc receives it in order.
   void EmitChunk(int output, Tuple* tuples, size_t n) override {
-    if (n == 0) return;
-    BoxRt& b = engine_->boxes_[box_];
-    AURORA_CHECK(output >= 0 && output < static_cast<int>(b.out_arcs.size()))
-        << "emit on unknown box output " << output;
-    const std::vector<ArcId>& fan = b.out_arcs[output];
-    if (fan.empty()) return;
-    engine_->m_batch_chunks_->Add();
-    engine_->m_batch_chunk_tuples_->Add(static_cast<uint64_t>(n));
-    for (size_t a = 0; a < fan.size(); ++a) {
-      const ArcRt& arc = engine_->arcs_[fan[a]];
-      const bool last = a + 1 == fan.size();
-      if (arc.to.is_box()) {
-        if (last) {
-          engine_->EnqueueArcChunk(fan[a], tuples, n, worker_);
-        } else {
-          // COW handle copies for every branch but the last, as Emit does.
-          branch_scratch_.assign(tuples, tuples + n);
-          engine_->EnqueueArcChunk(fan[a], branch_scratch_.data(), n,
-                                   worker_);
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          engine_->DeliverToOutput(arc.to.id, tuples[i], worker_);
-        }
-      }
-    }
+    engine_->RouteChunk(Endpoint::BoxPort(box_, output), tuples, n, worker_);
   }
 
  private:
   ThreadedEngine* engine_;
   BoxId box_;
-  SimTime now_;
   int worker_;
-  std::vector<Tuple> branch_scratch_;
 };
 
 void ThreadedEngine::RunBoxActivation(BoxId box, int worker) {
-  BoxRt& b = boxes_[box];
   activations_.fetch_add(1, std::memory_order_relaxed);
   m_activations_->Add();
-  int budget = opts_.train_size;
-  int num_inputs = static_cast<int>(b.in_arcs.size());
-  if (num_inputs == 0) return;
-  if (opts_.batch_size > 1 && num_inputs == 1) {
-    RunBoxActivationBatched(box, worker);
-    return;
-  }
-  int idle_scans = 0;
-  uint64_t processed = 0;
-  while (budget > 0 && idle_scans < num_inputs) {
-    int input = b.rr_next_input;
-    b.rr_next_input = (b.rr_next_input + 1) % num_inputs;
-    ArcId arc = b.in_arcs[input];
-    if (arc < 0 || arcs_[arc].ring == nullptr) {
-      idle_scans++;
-      continue;
-    }
-    Tuple t;
-    if (!arcs_[arc].ring->TryPop(&t)) {
-      idle_scans++;
-      continue;
-    }
-    idle_scans = 0;
-    budget--;
-    processed++;
-    // Operators see `now` = the tuple's own timestamp (threaded mode has no
-    // global clock; docs/THREADING.md).
-    SimTime now = t.timestamp();
-    Status st;
-    {
-      TupleHotPathSection hot_path;
-      RoutingEmitter emitter(this, box, now, worker);
-      st = b.op->Process(input, t, now, &emitter);
-    }
-    if (!st.ok()) DeferError(st);
-  }
-  if (processed > 0) {
-    tuples_processed_.fetch_add(processed, std::memory_order_relaxed);
-  }
-}
-
-void ThreadedEngine::RunBoxActivationBatched(BoxId box, int worker) {
   BoxRt& b = boxes_[box];
-  ArcId arc = b.in_arcs[0];
-  if (arc < 0 || arcs_[arc].ring == nullptr) return;
-  BoundedRing<Tuple>* ring = arcs_[arc].ring.get();
+  const QueryNetwork::Box& model = net_.box(box);
+  const int num_inputs = static_cast<int>(model.in_arcs.size());
+  if (num_inputs == 0) return;
   int budget = opts_.train_size;
-  uint64_t processed = 0;
+  // Same chunk rule as AuroraEngine::ActivateBox: a multi-input box takes
+  // one tuple per round-robin turn so its merge interleaving is untouched.
+  const int chunk_cap =
+      num_inputs == 1 ? std::min(budget, opts_.batch_size) : 1;
   // Stack scratch: help-on-full means a ProcessBatch emission can run a
   // downstream box's activation on this same thread, so nothing batched may
   // live in the engine or box.
   TupleBatch batch;
-  batch.Reserve(static_cast<size_t>(std::min(budget, opts_.batch_size)));
-  while (budget > 0) {
-    const int want = std::min(budget, opts_.batch_size);
+  batch.Reserve(static_cast<size_t>(chunk_cap));
+  RoutingEmitter emitter(this, box, worker);
+  int idle_scans = 0;
+  while (budget > 0 && idle_scans < num_inputs) {
+    const int input = b.rr_next_input;
+    b.rr_next_input = (b.rr_next_input + 1) % num_inputs;
+    const ArcId arc = model.in_arcs[input];
+    BoundedRing<Tuple>* ring = arc < 0 ? nullptr : rings_[arc].get();
+    const int want = std::min(budget, chunk_cap);
     batch.Clear();
     Tuple t;
-    while (static_cast<int>(batch.size()) < want && ring->TryPop(&t)) {
-      // Operators see `now` = the tuple's own timestamp, as on the scalar
-      // threaded path (docs/THREADING.md).
-      SimTime ts = t.timestamp();
+    while (ring != nullptr && static_cast<int>(batch.size()) < want &&
+           ring->TryPop(&t)) {
+      // Operators see `now` = the tuple's own timestamp (threaded mode has
+      // no global clock; docs/THREADING.md).
+      const SimTime ts = t.timestamp();
       batch.Push(std::move(t), ts);
     }
-    if (batch.empty()) break;
+    if (batch.empty()) {
+      idle_scans++;
+      continue;
+    }
+    idle_scans = 0;
     budget -= static_cast<int>(batch.size());
-    processed += batch.size();
     Status st;
     {
       TupleHotPathSection hot_path;
-      RoutingEmitter emitter(this, box, batch.now(0), worker);
-      st = b.op->ProcessBatch(0, batch, &emitter);
+      st = model.op->ProcessBatch(input, batch, &emitter);
     }
     if (!st.ok()) DeferError(st);
-  }
-  if (processed > 0) {
-    tuples_processed_.fetch_add(processed, std::memory_order_relaxed);
   }
 }
 
@@ -597,7 +345,7 @@ void ThreadedEngine::PostRun(BoxId box, int worker) {
   BoxRt& b = boxes_[box];
   for (;;) {
     uint32_t state = b.state.load(std::memory_order_acquire);
-    if (state == kRunningNotified || AnyInputPending(b)) {
+    if (state == kRunningNotified || AnyInputPending(box)) {
       // Unconditional store is safe: only the claim holder may write
       // Queued/Idle, and a racing producer CAS (Running->RunningNotified)
       // either lands before (we overwrite, but we are re-queuing anyway) or
@@ -617,12 +365,9 @@ void ThreadedEngine::PostRun(BoxId box, int worker) {
   }
 }
 
-bool ThreadedEngine::AnyInputPending(const BoxRt& box) const {
-  for (ArcId arc : box.in_arcs) {
-    if (arc >= 0 && arcs_[arc].ring != nullptr &&
-        !arcs_[arc].ring->EmptyApprox()) {
-      return true;
-    }
+bool ThreadedEngine::AnyInputPending(BoxId box) const {
+  for (ArcId arc : net_.box(box).in_arcs) {
+    if (arc >= 0 && !rings_[arc]->EmptyApprox()) return true;
   }
   return false;
 }
@@ -631,44 +376,55 @@ bool ThreadedEngine::AnyInputPending(const BoxRt& box) const {
 // Data movement
 // ---------------------------------------------------------------------------
 
-void ThreadedEngine::EnqueueArc(ArcId arc_id, Tuple t, int worker) {
-  ArcRt& arc = arcs_[arc_id];
-  BoxId dest = arc.to.id;
-  while (!arc.ring->TryPush(t)) {
-    // Help on full: run the consumer inline until room opens. The network
-    // is acyclic, so the helping chain is bounded by its depth; if the
-    // consumer is running on another worker, give it time to drain.
-    ring_full_events_.fetch_add(1, std::memory_order_relaxed);
-    m_ring_full_->Add();
-    if (TryClaimForHelp(dest)) {
-      RunBoxActivation(dest, worker);
-      PostRun(dest, worker);
+void ThreadedEngine::RouteChunk(const Endpoint& from, Tuple* tuples,
+                                size_t n, int worker) {
+  m_batch_chunks_->Add();
+  m_batch_chunk_tuples_->Add(static_cast<uint64_t>(n));
+  // The model is frozen while running, so the span outlives the callbacks.
+  std::span<const ArcId> fan = net_.ArcsFrom(from);
+  // The registry counters are shared by every worker; add once per route.
+  uint64_t publishes = 0;
+  for (size_t k = 0; k < fan.size(); ++k) {
+    const Endpoint& to = net_.arc(fan[k]).to;
+    if (!to.is_box()) {
+      for (size_t i = 0; i < n; ++i) DeliverToOutput(to.id, tuples[i]);
+    } else if (k + 1 == fan.size()) {
+      publishes += EnqueueArcChunk(fan[k], tuples, n, worker);
+    } else if (n == 1) {
+      // COW handle copies for every branch but the last; a chunk of one (a
+      // scalar emission or a pushed input) copies on the stack.
+      Tuple copy = tuples[0];
+      publishes += EnqueueArcChunk(fan[k], &copy, 1, worker);
     } else {
-      std::this_thread::yield();
+      std::vector<Tuple> copies(tuples, tuples + n);
+      publishes += EnqueueArcChunk(fan[k], copies.data(), n, worker);
     }
   }
-  NotifyReady(dest, worker);
+  if (publishes > 0) m_multipush_publishes_->Add(publishes);
 }
 
-void ThreadedEngine::EnqueueArcChunk(ArcId arc_id, Tuple* tuples, size_t n,
-                                     int worker) {
-  ArcRt& arc = arcs_[arc_id];
-  BoxId dest = arc.to.id;
+size_t ThreadedEngine::EnqueueArcChunk(ArcId arc_id, Tuple* tuples,
+                                       size_t n, int worker) {
+  BoundedRing<Tuple>* ring = rings_[arc_id].get();
+  const BoxId dest = net_.arc(arc_id).to.id;
   size_t pushed = 0;
+  size_t publishes = 0;
   while (pushed < n) {
-    size_t k = arc.ring->TryPushN(tuples + pushed, n - pushed);
+    size_t k = ring->TryPushN(tuples + pushed, n - pushed);
     if (k > 0) {
-      m_multipush_publishes_->Add();
+      ++publishes;
       pushed += k;
       // Notify after every published run, not just the last: if the ring
       // filled mid-chunk the producer is about to help or yield, and the
       // consumer must already be queued for the tuples just published.
       NotifyReady(dest, worker);
-      if (pushed == n) return;
+      if (pushed == n) break;
     }
-    // Ring full mid-chunk: same help-on-full discipline as EnqueueArc,
-    // at chunk granularity. A chunk larger than the ring's capacity makes
-    // progress one capacity-sized run at a time.
+    // Ring full: run the consumer inline until room opens. The network is
+    // acyclic, so the helping chain is bounded by its depth; if the
+    // consumer is running on another worker, give it time to drain. A
+    // chunk larger than the ring's capacity makes progress one
+    // capacity-sized run at a time.
     ring_full_events_.fetch_add(1, std::memory_order_relaxed);
     m_ring_full_->Add();
     if (TryClaimForHelp(dest)) {
@@ -678,46 +434,29 @@ void ThreadedEngine::EnqueueArcChunk(ArcId arc_id, Tuple* tuples, size_t n,
       std::this_thread::yield();
     }
   }
+  return publishes;
 }
 
-void ThreadedEngine::DeliverToOutput(PortId output, const Tuple& t,
-                                     int worker) {
-  (void)worker;
-  OutputPort& port = outputs_[output];
+void ThreadedEngine::DeliverToOutput(PortId output, const Tuple& t) {
+  OutputRt& port = outputs_[output];
   port.delivered.fetch_add(1, std::memory_order_relaxed);
   m_delivered_->Add();
-  if (!port.callback) return;
-  std::lock_guard<std::mutex> lock(*port.mu);
+  const OutputCallback& callback = output_callbacks_[output];
+  if (!callback) return;
+  std::lock_guard<std::mutex> lock(port.mu);
   // Callbacks are application code: suspend the hot-path guard as the
   // single-threaded engine does.
   TupleHotPathSection::Exemption exemption;
-  port.callback(t, t.timestamp());
+  callback(t, t.timestamp());
 }
 
 Status ThreadedEngine::PushInput(PortId input, Tuple t, SimTime now) {
   if (!running()) return Status::FailedPrecondition("engine not running");
-  if (input < 0 || input >= static_cast<int>(inputs_.size())) {
-    return Status::InvalidArgument("bad input port");
-  }
-  InputPort& port = inputs_[input];
-  if (t.schema() == nullptr) {
-    return Status::InvalidArgument("tuple has no schema");
-  }
-  if (!t.schema()->Equals(*port.schema)) {
-    return Status::InvalidArgument("tuple schema " + t.schema()->ToString() +
-                                   " does not match input schema " +
-                                   port.schema->ToString());
-  }
+  AURORA_RETURN_NOT_OK(net_.CheckInputTuple(input, t));
   if (t.timestamp().micros() == 0) t.set_timestamp(now);
   tuples_in_.fetch_add(1, std::memory_order_relaxed);
   m_tuples_in_->Add();
-  const std::vector<ArcId>& fan = port.out_arcs;
-  for (size_t i = 0; i < fan.size(); ++i) {
-    Tuple branch = (i + 1 == fan.size()) ? std::move(t) : t;
-    // Input ports feed boxes only (Connect rejects input->output arcs), so
-    // every fan-out branch goes through a ring.
-    EnqueueArc(fan[i], std::move(branch), /*worker=*/-1);
-  }
+  RouteChunk(Endpoint::InputPort(input), &t, 1, /*worker=*/-1);
   return Status::OK();
 }
 
@@ -737,7 +476,8 @@ int ThreadedEngine::partition_of(BoxId box) const {
 }
 
 uint64_t ThreadedEngine::delivered(PortId output) const {
-  AURORA_CHECK(output >= 0 && output < static_cast<int>(outputs_.size()));
+  AURORA_CHECK(output >= 0 && output < static_cast<int>(net_.num_outputs()));
+  if (outputs_.empty()) return 0;  // not started yet
   return outputs_[output].delivered.load(std::memory_order_relaxed);
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -12,7 +11,7 @@
 
 #include "common/result.h"
 #include "common/sim_time.h"
-#include "engine/topology.h"
+#include "engine/query_network.h"
 #include "engine/worker_pool.h"
 #include "obs/metrics.h"
 #include "ops/operator.h"
@@ -32,16 +31,20 @@ struct ThreadedEngineOptions {
   /// rings backpressure by running the consumer inline, so this bounds
   /// memory, not correctness.
   size_t ring_capacity = 1024;
-  /// Tuples per Operator::ProcessBatch call. 1 = scalar path. >1 batches
-  /// single-input boxes (multi-input boxes keep the scalar round-robin so
-  /// their merge interleaving is untouched), exactly like
-  /// EngineOptions::batch_size on the single-threaded engine.
+  /// Most tuples per Operator::ProcessBatch call, with the same chunk rule
+  /// as EngineOptions::batch_size: min(batch_size, remaining train budget)
+  /// for a single-input box, one tuple per round-robin turn for a
+  /// multi-input box (so its merge interleaving is untouched). A one-tuple
+  /// chunk runs the operator's scalar Process.
   int batch_size = 1;
 };
 
-/// \brief Multithreaded execution runtime: the same query-network model as
-/// AuroraEngine (input ports -> boxes -> output ports), executed by a
-/// WorkerPool instead of the discrete-event simulation.
+/// \brief Multithreaded execution runtime: an executor over the same
+/// QueryNetwork AuroraEngine runs (input ports -> boxes -> output ports),
+/// driven by a WorkerPool instead of the discrete-event simulation. The
+/// model is frozen at the first Start, which builds the runtime state beside
+/// it: one ring per box-bound arc, one claim state per box, one mutex per
+/// output.
 ///
 /// Architecture (docs/THREADING.md has the full story):
 ///  - Every arc is a bounded SPSC ring (stream/ring_buffer.h). Producer and
@@ -91,20 +94,29 @@ class ThreadedEngine {
 
   const ThreadedEngineOptions& options() const { return opts_; }
 
-  // --- Topology construction (before Start) --------------------------------
+  // --- Topology construction (before the first Start) -----------------------
   Result<PortId> AddInput(const std::string& name, SchemaPtr schema);
   Result<PortId> AddOutput(const std::string& name);
   Result<BoxId> AddBox(const OperatorSpec& spec);
   Result<ArcId> Connect(Endpoint from, Endpoint to);
-  /// Fixed-point schema propagation, as AuroraEngine::InitializeBoxes.
-  Status InitializeBoxes(bool require_all = true);
-  Result<PortId> FindInput(const std::string& name) const;
-  Result<PortId> FindOutput(const std::string& name) const;
-  bool IsBoxInitialized(BoxId box) const;
+  /// Fixed-point schema propagation (QueryNetwork::InitializeBoxes).
+  Status InitializeBoxes(bool require_all = true) {
+    return net_.InitializeBoxes(require_all);
+  }
+  Result<PortId> FindInput(const std::string& name) const {
+    return net_.FindInput(name);
+  }
+  Result<PortId> FindOutput(const std::string& name) const {
+    return net_.FindOutput(name);
+  }
+  bool IsBoxInitialized(BoxId box) const {
+    return net_.IsBoxInitialized(box);
+  }
   void SetOutputCallback(PortId output, OutputCallback cb);
 
   // --- Execution -----------------------------------------------------------
-  /// Builds the rings, partitions the boxes, and launches the workers.
+  /// Initializes the network, builds the runtime state (first call only),
+  /// partitions the boxes, and launches the workers.
   Status Start();
   /// True between a successful Start and Stop.
   bool running() const { return pool_ != nullptr && pool_->started(); }
@@ -148,98 +160,74 @@ class ThreadedEngine {
     kRunningNotified = 3,  ///< running, and a producer notified meanwhile
   };
 
+  /// Runtime state beside each QueryNetwork box (same index).
   struct BoxRt {
-    OperatorSpec spec;
-    OperatorPtr op;
-    bool initialized = false;
-    bool removed = false;  // reserved; threaded mode has no live reconfig
-    std::vector<ArcId> in_arcs;               // one per op input (-1 unset)
-    std::vector<std::vector<ArcId>> out_arcs;  // per op output, fan-out list
     int partition = 0;
     int64_t priority = 0;  ///< scheduler key; -distance_to_output
     std::atomic<uint32_t> state{kIdle};
-    /// Round-robin cursor over in_arcs; touched only by the worker that
-    /// currently holds the box claim.
+    /// Round-robin cursor over the box's in-arcs; touched only by the
+    /// worker that currently holds the box claim.
     int rr_next_input = 0;
   };
-  struct ArcRt {
-    Endpoint from;
-    Endpoint to;
-    std::unique_ptr<BoundedRing<Tuple>> ring;  // built at Start
-  };
-  struct InputPort {
-    std::string name;
-    SchemaPtr schema;
-    std::vector<ArcId> out_arcs;
-  };
-  struct OutputPort {
-    std::string name;
-    OutputCallback callback;
-    std::unique_ptr<std::mutex> mu;  // serializes deliveries per output
+  /// Runtime state beside each output port (same index).
+  struct OutputRt {
+    std::mutex mu;  // serializes deliveries per output
     std::atomic<uint64_t> delivered{0};
-
-    OutputPort(std::string n)
-        : name(std::move(n)), mu(std::make_unique<std::mutex>()) {}
-    OutputPort(OutputPort&& o) noexcept
-        : name(std::move(o.name)),
-          callback(std::move(o.callback)),
-          mu(std::move(o.mu)),
-          delivered(o.delivered.load(std::memory_order_relaxed)) {}
   };
 
   class RoutingEmitter;
 
-  Result<SchemaPtr> EndpointOutputSchema(const Endpoint& e) const;
-
-  /// Pushes into the arc's ring, helping the consumer inline while full,
-  /// then notifies the destination box. `worker` is the calling worker id
-  /// (-1 for an external pusher); used as the re-queue preference.
-  void EnqueueArc(ArcId arc, Tuple t, int worker);
-  /// Chunked EnqueueArc: multi-pushes the span into the ring (one release
-  /// store per published run), helping the consumer inline whenever the ring
-  /// fills mid-chunk — a chunk larger than the ring degrades to repeated
-  /// partial publishes with help-on-full between them, never a deadlock.
-  /// Every partial publish notifies the destination before the producer
-  /// yields/helps, preserving the "non-empty ring implies notified box"
-  /// invariant the quiescence protocol relies on. Consumes the span.
-  void EnqueueArcChunk(ArcId arc, Tuple* tuples, size_t n, int worker);
+  /// Delivers `n` tuples leaving `from` (an input port or a box output) to
+  /// every arc out of it — the one routing path for box emissions and
+  /// PushInput alike. Box-bound branches take the whole span through the
+  /// ring's multi-push; output branches deliver per tuple (the callback
+  /// contract is per tuple). Consumes the span.
+  void RouteChunk(const Endpoint& from, Tuple* tuples, size_t n, int worker);
+  /// Multi-pushes the span into the arc's ring (one release store per
+  /// published run), helping the consumer inline whenever the ring fills —
+  /// a chunk larger than the ring degrades to repeated partial publishes
+  /// with help-on-full between them, never a deadlock. Every partial
+  /// publish notifies the destination before the producer yields/helps,
+  /// preserving the "non-empty ring implies notified box" invariant the
+  /// quiescence protocol relies on. `worker` is the calling worker id (-1
+  /// for an external pusher); used as the re-queue preference. Consumes the
+  /// span and returns the number of publish runs.
+  size_t EnqueueArcChunk(ArcId arc, Tuple* tuples, size_t n, int worker);
   /// Marks the box ready: Idle -> Queued (+submit), Running ->
   /// RunningNotified, no-op otherwise.
   void NotifyReady(BoxId box, int worker);
   /// Claims an un-queued or queued box directly (help path). On success the
   /// box is Running and the caller must PostRun it.
   bool TryClaimForHelp(BoxId box);
-  /// Consumes up to train_size tuples from the box's in-rings.
-  void RunBoxActivation(BoxId box, int worker);
-  /// Batched variant for single-input boxes (batch_size > 1): pops up to
-  /// batch_size tuples per ProcessBatch call. Uses only stack scratch —
+  /// Consumes up to train_size tuples from the box's in-rings, one
+  /// round-robin chunk per ProcessBatch call. Uses only stack scratch —
   /// help-on-full can nest activations on one thread.
-  void RunBoxActivationBatched(BoxId box, int worker);
+  void RunBoxActivation(BoxId box, int worker);
   /// Post-activation protocol: re-queue if notified or input remains, else
   /// transition to Idle and release the work item.
   void PostRun(BoxId box, int worker);
   /// WorkerPool callback: validate the claim, activate, post-run.
   void RunReadyItem(int box, int worker);
 
-  void DeliverToOutput(PortId output, const Tuple& t, int worker);
+  void DeliverToOutput(PortId output, const Tuple& t);
 
   /// Any tuple left in any of the box's input rings?
-  bool AnyInputPending(const BoxRt& box) const;
+  bool AnyInputPending(BoxId box) const;
 
   /// Component-based LPT assignment of boxes to workers.
   void PartitionBoxes();
-  /// Longest path to an output port, for scheduler priorities.
-  void ComputePriorities();
 
   void DeferError(const Status& s);
 
   ThreadedEngineOptions opts_;
-  std::vector<InputPort> inputs_;
-  std::vector<OutputPort> outputs_;
-  /// deque: BoxRt holds an atomic (immovable), and box addresses must be
-  /// stable across AddBox.
-  std::deque<BoxRt> boxes_;
-  std::vector<ArcRt> arcs_;
+  QueryNetwork net_;
+  std::vector<OutputCallback> output_callbacks_;  // per output port
+  // Runtime state, sized once over the frozen model at the first Start.
+  bool frozen_ = false;
+  std::vector<BoxRt> boxes_;
+  /// Per arc; nullptr for arcs into output ports.
+  std::vector<std::unique_ptr<BoundedRing<Tuple>>> rings_;
+  std::vector<OutputRt> outputs_;
 
   std::unique_ptr<WorkerPool> pool_;
   /// Boxes currently Queued or Running (in any flavor). Zero, after all
@@ -252,7 +240,6 @@ class ThreadedEngine {
 
   std::atomic<uint64_t> tuples_in_{0};
   std::atomic<uint64_t> activations_{0};
-  std::atomic<uint64_t> tuples_processed_{0};
   std::atomic<uint64_t> ring_full_events_{0};
 
   Counter* m_tuples_in_;

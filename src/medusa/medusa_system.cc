@@ -79,7 +79,8 @@ Result<BoxId> MedusaSystem::RemoteDefine(const std::string& definer,
   }
   AuroraEngine& engine = star_->node(node).engine();
   AURORA_ASSIGN_OR_RETURN(PortId port, engine.FindOutput(output_name));
-  std::vector<ArcId> feeds = engine.ArcsInto(port);
+  auto feed_span = engine.ArcsInto(port);
+  std::vector<ArcId> feeds(feed_span.begin(), feed_span.end());
   if (feeds.empty()) {
     return Status::FailedPrecondition("output '" + output_name +
                                       "' has no feeding arc to intercept");

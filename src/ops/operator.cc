@@ -4,26 +4,6 @@
 
 namespace aurora {
 
-class Operator::CountingEmitter : public Emitter {
- public:
-  CountingEmitter(Emitter* inner, uint64_t* counter, SeqNo input_seq)
-      : inner_(inner), counter_(counter), input_seq_(input_seq) {}
-  void Emit(int output, Tuple t) override {
-    ++*counter_;
-    // Lineage propagation for the HA protocol (§6.2): an emitted tuple that
-    // did not set its own provenance inherits the triggering input's
-    // sequence number. Stateful operators (Tumble, windows) stamp the
-    // earliest contributing tuple themselves before emitting.
-    if (t.seq() == kNoSeqNo) t.set_seq(input_seq_);
-    inner_->Emit(output, std::move(t));
-  }
-
- private:
-  Emitter* inner_;
-  uint64_t* counter_;
-  SeqNo input_seq_;
-};
-
 Status Operator::Init(std::vector<SchemaPtr> input_schemas) {
   if (initialized_) {
     return Status::FailedPrecondition("operator already initialized");
@@ -59,12 +39,19 @@ Status Operator::Process(int input, const Tuple& t, SimTime now,
   }
   if (t.seq() != kNoSeqNo) last_seq_[input] = t.seq();
   ++tuples_in_;
-  CountingEmitter counting(emitter, &tuples_out_, t.seq());
-  return ProcessImpl(input, t, now, &counting);
+  // Unbuffered: each emission is stamped with this tuple's lineage (HA
+  // seq, §6.2, and trace id) and counted for selectivity, then passed on.
+  BatchEmitter stamping(emitter, &tuples_out_);
+  stamping.SetCurrent(t);
+  return ProcessImpl(input, t, now, &stamping);
 }
 
 Status Operator::ProcessBatch(int input, TupleBatch& batch, Emitter* emitter) {
   AURORA_DCHECK(initialized_) << "ProcessBatch before Init on " << kind();
+  // A train of one is the scalar path: the ProcessImpl oracle itself.
+  if (batch.size() == 1) {
+    return Process(input, batch.tuple(0), batch.now(0), emitter);
+  }
   if (input < 0 || input >= num_inputs()) {
     return Status::InvalidArgument("bad input index " + std::to_string(input));
   }

@@ -19,7 +19,8 @@ class Emitter {
  public:
   virtual ~Emitter() = default;
   virtual void Emit(int output, Tuple t) = 0;
-  /// Chunked sink: `n` tuples bound for one output port, in emission order.
+  /// Chunked sink: `n` >= 1 tuples bound for one output port, in emission
+  /// order.
   /// The default unrolls to per-tuple Emit calls, so every emitter is
   /// chunk-callable; engines override it to enqueue downstream arcs in bulk
   /// (one scheduler/ring update per chunk instead of per tuple). Tuples are
@@ -68,10 +69,11 @@ class Operator {
 
   /// Processes a whole train of tuples from one input arc. Must be
   /// emission-equivalent to calling Process on each tuple front to back:
-  /// the default implementation does exactly that, and vectorized overrides
-  /// are gated by the batch-vs-scalar equivalence suite. On a per-tuple
-  /// error, processing continues with the remaining tuples and the first
-  /// error is returned, matching the engine's deferred-error policy.
+  /// the default implementation does exactly that, a train of one *is* a
+  /// Process call, and vectorized overrides are gated by the
+  /// batch-vs-scalar equivalence suite. On a per-tuple error, processing
+  /// continues with the remaining tuples and the first error is returned,
+  /// matching the engine's deferred-error policy.
   Status ProcessBatch(int input, TupleBatch& batch, Emitter* emitter);
 
   /// Time-driven callback (WSort timeouts, aggregate timeouts). The engine
@@ -103,10 +105,12 @@ class Operator {
                : static_cast<double>(tuples_out_) / static_cast<double>(tuples_in_);
   }
 
-  /// Emitter wrapper used on the batched path. Per-emission it applies the
-  /// same lineage rules the scalar path splits between CountingEmitter
-  /// (seq inheritance) and the engine's routing emitter (trace-id
-  /// propagation): a ProcessBatchImpl override must call SetCurrent(t)
+  /// Emitter wrapper that applies the lineage rules to every emission of
+  /// Process and ProcessBatch: an emitted tuple that did not set its own
+  /// provenance inherits the current input's sequence number (HA protocol,
+  /// §6.2; stateful operators stamp the earliest contributing tuple
+  /// themselves) and trace id, and each emission counts toward
+  /// selectivity. A ProcessBatchImpl override must call SetCurrent(t)
   /// before emitting on behalf of tuple `t`, because the engine cannot know
   /// per-emission provenance mid-batch.
   ///
@@ -191,9 +195,6 @@ class Operator {
   void SetOutputSchema(int i, SchemaPtr schema) {
     output_schemas_[i] = std::move(schema);
   }
-
-  /// Counting wrapper so selectivity is measured at the base.
-  class CountingEmitter;
 
   OperatorSpec spec_;
   std::vector<SchemaPtr> input_schemas_;

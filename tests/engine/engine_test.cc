@@ -2,6 +2,10 @@
 // scheduling, choke/hold, connection points, dynamic reconfiguration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "engine/aurora_engine.h"
 #include "tests/test_util.h"
 
@@ -59,24 +63,6 @@ TEST(EngineTest, SchemaMismatchOnPushRejected) {
   SchemaPtr other = Schema::Make({Field{"X", ValueType::kString}});
   Tuple t = MakeTuple(other, {Value("boom")});
   EXPECT_TRUE(p.engine.PushInput(p.in, t, SimTime()).IsInvalidArgument());
-}
-
-TEST(EngineTest, UnconnectedBoxInputFailsInit) {
-  AuroraEngine engine;
-  *engine.AddInput("in", SchemaAB());
-  *engine.AddBox(UnionSpec(2));  // nothing wired
-  EXPECT_TRUE(engine.InitializeBoxes().IsFailedPrecondition());
-}
-
-TEST(EngineTest, DuplicateInputArcRejected) {
-  AuroraEngine engine;
-  PortId in = *engine.AddInput("in", SchemaAB());
-  BoxId f = *engine.AddBox(FilterSpec(Predicate::True()));
-  ASSERT_OK(engine.Connect(Endpoint::InputPort(in), Endpoint::BoxPort(f, 0))
-                .status());
-  EXPECT_TRUE(engine.Connect(Endpoint::InputPort(in), Endpoint::BoxPort(f, 0))
-                  .status()
-                  .IsAlreadyExists());
 }
 
 TEST(EngineTest, FanOutCopiesTuples) {
@@ -172,22 +158,6 @@ TEST(EngineTest, ExtractAndAdoptKeepsOperatorState) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(GetInt(got[0], "A"), 5);
   EXPECT_EQ(GetInt(got[0], "Result"), 2);
-}
-
-TEST(EngineTest, AdoptRejectsSchemaMismatch) {
-  AuroraEngine a, b;
-  BoxId f = *a.AddBox(FilterSpec(Predicate::True()));
-  PortId in = *a.AddInput("in", SchemaAB());
-  ASSERT_OK(a.Connect(Endpoint::InputPort(in), Endpoint::BoxPort(f, 0)).status());
-  ASSERT_OK(a.InitializeBoxes());
-  ArcId arc = *a.FindArcInto(f, 0);
-  ASSERT_OK(a.DisconnectArc(arc));
-  ASSERT_OK_AND_ASSIGN(OperatorPtr op, a.ExtractBoxOperator(f));
-  ASSERT_OK_AND_ASSIGN(BoxId f2, b.AdoptBoxOperator(std::move(op)));
-  PortId bad = *b.AddInput("bad", Schema::Make({Field{"X", ValueType::kString}}));
-  EXPECT_TRUE(b.Connect(Endpoint::InputPort(bad), Endpoint::BoxPort(f2, 0))
-                  .status()
-                  .IsInvalidArgument());
 }
 
 class SchedulerPolicyTest : public ::testing::TestWithParam<SchedulerPolicy> {};
@@ -305,6 +275,138 @@ TEST(EngineTest, DeferredOperatorErrorSurfaces) {
   ASSERT_OK(engine.PushInput(in, T(1, 0), SimTime()));
   Status st = engine.RunUntilQuiescent(SimTime());
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
+// A map emits a freshly built tuple, so its lineage comes from the emitter
+// wrappers: the output carries the input's trace id at batch 1 (the scalar
+// Process path) and above (BatchEmitter).
+TEST(EngineTest, MapOutputInheritsTraceIdAtEveryBatchSize) {
+  for (int batch : {1, 8}) {
+    EngineOptions opts;
+    opts.batch_size = batch;
+    AuroraEngine engine(opts);
+    PortId in = *engine.AddInput("in", SchemaAB());
+    PortId out = *engine.AddOutput("out");
+    BoxId f = *engine.AddBox(
+        FilterSpec(Predicate::Compare("B", CompareOp::kGe, Value(int64_t{0}))));
+    BoxId m = *engine.AddBox(MapSpec({{"A", Expr::FieldRef("A")}}));
+    ASSERT_OK(engine.Connect(Endpoint::InputPort(in), Endpoint::BoxPort(f, 0))
+                  .status());
+    ASSERT_OK(engine.Connect(Endpoint::BoxPort(f, 0), Endpoint::BoxPort(m, 0))
+                  .status());
+    ASSERT_OK(engine.Connect(Endpoint::BoxPort(m, 0), Endpoint::OutputPort(out))
+                  .status());
+    ASSERT_OK(engine.InitializeBoxes());
+    std::vector<uint64_t> traces;
+    engine.SetOutputCallback(out, [&traces](const Tuple& t, SimTime) {
+      traces.push_back(t.trace_id());
+    });
+    const int kN = 20;
+    for (int i = 0; i < kN; ++i) {
+      Tuple t = T(i, i);
+      t.set_trace_id(1000 + static_cast<uint64_t>(i));
+      ASSERT_OK(engine.PushInput(in, t, SimTime()));
+    }
+    ASSERT_OK(engine.RunUntilQuiescent(SimTime()));
+    ASSERT_EQ(traces.size(), static_cast<size_t>(kN)) << "batch=" << batch;
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(traces[i], 1000u + static_cast<uint64_t>(i))
+          << "batch=" << batch << " row " << i;
+    }
+  }
+}
+
+// A network shaped like the perfsuite engine_dag workload: two inputs, each
+// through filter -> map, merged by union -> wsort -> tumble, plus a join of
+// the two mapped streams. Multi-input boxes take one tuple per round-robin
+// turn at every batch size, so each output's row sequence (values, seq,
+// timestamp) is identical at batch 1, 8 and 64.
+TEST(EngineTest, MultiInputNetworkIdenticalAcrossBatchSizes) {
+  SchemaPtr schema = Schema::Make({Field{"K", ValueType::kInt64},
+                                   Field{"V", ValueType::kInt64},
+                                   Field{"S", ValueType::kInt64}});
+  auto run = [&schema](int batch) {
+    EngineOptions opts;
+    opts.batch_size = batch;
+    AuroraEngine engine(opts);
+    BoxId u = *engine.AddBox(UnionSpec(2));
+    BoxId ws = *engine.AddBox(WSortSpec({"S"}, /*timeout_us=*/1000,
+                                        /*max_buffer=*/16));
+    BoxId tc = *engine.AddBox(TumbleSpec("cnt", "V", {"K"}));
+    BoxId j = *engine.AddBox(JoinSpec("K", "K", /*window_us=*/200));
+    std::vector<PortId> ins;
+    for (int i = 0; i < 2; ++i) {
+      ins.push_back(*engine.AddInput("in" + std::to_string(i), schema));
+      BoxId f = *engine.AddBox(FilterSpec(
+          Predicate::Compare("V", CompareOp::kGe, Value(int64_t{2}))));
+      BoxId m = *engine.AddBox(MapSpec(
+          {{"K", Expr::FieldRef("K")},
+           {"V", Expr::FieldRef("V")},
+           {"S", Expr::FieldRef("S")},
+           {"W", Expr::Arith(ArithOp::kAdd, Expr::FieldRef("V"),
+                             Expr::Constant(Value(int64_t{1})))}}));
+      AURORA_CHECK(engine.Connect(Endpoint::InputPort(ins[i]),
+                                  Endpoint::BoxPort(f, 0)).ok());
+      AURORA_CHECK(engine.Connect(Endpoint::BoxPort(f, 0),
+                                  Endpoint::BoxPort(m, 0)).ok());
+      AURORA_CHECK(engine.Connect(Endpoint::BoxPort(m, 0),
+                                  Endpoint::BoxPort(u, i)).ok());
+      AURORA_CHECK(engine.Connect(Endpoint::BoxPort(m, 0),
+                                  Endpoint::BoxPort(j, i)).ok());
+    }
+    PortId counts = *engine.AddOutput("counts");
+    PortId pairs = *engine.AddOutput("pairs");
+    AURORA_CHECK(engine.Connect(Endpoint::BoxPort(u, 0),
+                                Endpoint::BoxPort(ws, 0)).ok());
+    AURORA_CHECK(engine.Connect(Endpoint::BoxPort(ws, 0),
+                                Endpoint::BoxPort(tc, 0)).ok());
+    AURORA_CHECK(engine.Connect(Endpoint::BoxPort(tc, 0),
+                                Endpoint::OutputPort(counts)).ok());
+    AURORA_CHECK(engine.Connect(Endpoint::BoxPort(j, 0),
+                                Endpoint::OutputPort(pairs)).ok());
+    AURORA_CHECK(engine.InitializeBoxes().ok());
+    std::vector<std::string> rows;
+    auto record = [&rows](const std::string& out) {
+      return [&rows, out](const Tuple& t, SimTime) {
+        std::string row = out;
+        for (size_t i = 0; i < t.num_values(); ++i) {
+          row += "|" + t.value(i).ToString();
+        }
+        row += " seq=" + std::to_string(t.seq()) +
+               " ts=" + std::to_string(t.timestamp().micros());
+        rows.push_back(std::move(row));
+      };
+    };
+    engine.SetOutputCallback(counts, record("counts"));
+    engine.SetOutputCallback(pairs, record("pairs"));
+    SimTime now{};
+    for (int i = 0; i < 600; ++i) {
+      Tuple t = MakeTuple(schema, {Value(int64_t{i % 5}), Value(int64_t{i % 7}),
+                                   Value(int64_t{(i * 7919) % 600})});
+      t.set_seq(static_cast<SeqNo>(i + 1));
+      now = SimTime::Micros(10 * (i + 1));
+      t.set_timestamp(now);
+      AURORA_CHECK(engine.PushInput(ins[(i / 3) % 2], t, now).ok());
+      // Uneven slices, so queues hold a mix of both inputs when boxes run.
+      if (i % 37 == 36) {
+        AURORA_CHECK(engine.RunUntilQuiescent(now).ok());
+        engine.Tick(now);
+      }
+    }
+    AURORA_CHECK(engine.RunUntilQuiescent(now).ok());
+    engine.Tick(now + SimDuration::Millis(10));
+    AURORA_CHECK(engine.RunUntilQuiescent(now + SimDuration::Millis(10)).ok());
+    return rows;
+  };
+  const std::vector<std::string> scalar = run(1);
+  ASSERT_FALSE(scalar.empty());
+  ASSERT_TRUE(std::any_of(scalar.begin(), scalar.end(), [](const auto& r) {
+    return r.rfind("counts", 0) == 0;
+  }));
+  ASSERT_TRUE(std::any_of(scalar.begin(), scalar.end(), [](const auto& r) {
+    return r.rfind("pairs", 0) == 0;
+  }));
+  for (int batch : {8, 64}) EXPECT_EQ(run(batch), scalar) << "batch=" << batch;
 }
 
 }  // namespace

@@ -396,6 +396,47 @@ TEST(ThreadedEngineTest, BatchedEmissionExactUnderStealingWorkers) {
   }
 }
 
+// A map emits a freshly built tuple, so its lineage comes from the emitter
+// wrappers: the output carries the input's trace id at batch 1 (the scalar
+// Process path) and above (BatchEmitter).
+TEST(ThreadedEngineTest, MapOutputInheritsTraceIdAtEveryBatchSize) {
+  for (int batch : {1, 8}) {
+    ThreadedEngineOptions opts;
+    opts.workers = 2;
+    opts.batch_size = batch;
+    ThreadedEngine engine(opts);
+    PortId in = *engine.AddInput("in", SchemaAB());
+    PortId out = *engine.AddOutput("out");
+    BoxId f = *engine.AddBox(
+        FilterSpec(Predicate::Compare("B", CompareOp::kGe, Value(int64_t{0}))));
+    BoxId m = *engine.AddBox(MapSpec({{"A", Expr::FieldRef("A")}}));
+    ASSERT_OK(engine.Connect(Endpoint::InputPort(in), Endpoint::BoxPort(f, 0))
+                  .status());
+    ASSERT_OK(engine.Connect(Endpoint::BoxPort(f, 0), Endpoint::BoxPort(m, 0))
+                  .status());
+    ASSERT_OK(engine.Connect(Endpoint::BoxPort(m, 0), Endpoint::OutputPort(out))
+                  .status());
+    std::vector<uint64_t> traces;  // guarded by the output mutex (callback)
+    engine.SetOutputCallback(out, [&traces](const Tuple& t, SimTime) {
+      traces.push_back(t.trace_id());
+    });
+    ASSERT_OK(engine.Start());
+    const int kN = 200;
+    for (int i = 0; i < kN; ++i) {
+      Tuple t = T(i, i, i + 1);
+      t.set_trace_id(1000 + static_cast<uint64_t>(i));
+      ASSERT_OK(engine.PushInput(in, t, SimTime()));
+    }
+    engine.WaitQuiescent();
+    ASSERT_OK(engine.Stop());
+    ASSERT_EQ(traces.size(), static_cast<size_t>(kN)) << "batch=" << batch;
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(traces[i], 1000u + static_cast<uint64_t>(i))
+          << "batch=" << batch << " row " << i;
+    }
+  }
+}
+
 TEST(ThreadedEngineTest, StartRejectsUninitializedBoxes) {
   ThreadedEngine engine;
   ASSERT_OK(engine.AddInput("in", SchemaAB()).status());

@@ -511,8 +511,8 @@ std::string BatchOracleDiff(const OperatorSpec& spec, const SchemaPtr& schema,
 }
 
 /// Seeded random (A, B) stream with seq numbers 1..n, millisecond
-/// timestamps, and a trace id on every third tuple (exercises the
-/// BatchEmitter seq/trace stamping against CountingEmitter's).
+/// timestamps, and a trace id on every third tuple (exercises buffered
+/// BatchEmitter seq/trace stamping against the per-tuple Process path's).
 std::vector<Tuple> BatchStream(uint64_t seed, int n, int64_t a_range,
                                int64_t b_lo, int64_t b_hi) {
   Rng rng = MakeTestRng(seed);

@@ -442,18 +442,19 @@ bool CheckStorage(const StorageView& v) {
 // Batched-emission accounting
 // ---------------------------------------------------------------------------
 
-/// The engine.batch.* / engine.threaded.batch.* counters chunked emission
-/// maintains. Missing counters read as 0, so scalar (batch=1) dumps and
-/// dumps from before the batched path pass trivially.
+/// The engine.batch.* / engine.threaded.batch.* counters each engine's one
+/// routing path (RouteChunk) maintains for every routed chunk, batch 1 and
+/// input-port routing included. Missing counters read as 0, so dumps with
+/// no routed tuple pass trivially.
 struct BatchView {
-  // Single-threaded engine (RouteChunk).
+  // Single-threaded engine (AuroraEngine::RouteChunk).
   double chunks = 0;        ///< engine.batch.emitted_chunks
   double chunk_tuples = 0;  ///< engine.batch.emitted_tuples (sum of sizes)
   double fanout = 0;        ///< engine.batch.fanout_tuples (tuples x arcs)
   double enqueued = 0;      ///< engine.batch.chunk_enqueued (to box queues)
   double delivered = 0;     ///< engine.batch.chunk_delivered (to outputs)
   double held = 0;          ///< engine.batch.chunk_held (choked arcs)
-  // Threaded engine (EmitChunk -> ring multi-push).
+  // Threaded engine (ThreadedEngine::RouteChunk -> ring multi-push).
   double t_chunks = 0;      ///< engine.threaded.batch.emitted_chunks
   double t_tuples = 0;      ///< engine.threaded.batch.emitted_tuples
   double t_publishes = 0;   ///< engine.threaded.batch.multipush_publishes
@@ -482,7 +483,7 @@ BatchView CollectBatch(const MetricsSnapshot& snap) {
 /// chunk fans out to each downstream arc exactly once, and on each arc it is
 /// enqueued to a box, delivered to an output, or held on a choked arc.
 bool CheckBatch(const BatchView& v) {
-  if (!v.present()) return true;  // scalar dump: nothing to reconcile
+  if (!v.present()) return true;  // nothing routed: nothing to reconcile
   bool ok = true;
   if (v.chunks > v.chunk_tuples) {
     std::printf(
