@@ -52,7 +52,9 @@ SchemaPtr MakeWideSchema(int width, bool strings) {
   for (int i = 2; i < width; ++i) {
     ValueType type = (strings && i % 2 == 0) ? ValueType::kString
                                              : ValueType::kInt64;
-    fields.push_back(Field{"f" + std::to_string(i), type});
+    std::string name = "f";
+    name += std::to_string(i);
+    fields.push_back(Field{std::move(name), type});
   }
   return Schema::Make(fields);
 }

@@ -40,9 +40,11 @@ void JoinOp::ExpireOld(SimTime now) {
 
 void JoinOp::EmitJoined(const Tuple& left, const Tuple& right,
                         Emitter* emitter) {
-  std::vector<Value> values = left.values();
-  values.insert(values.end(), right.values().begin(), right.values().end());
-  Tuple out(output_schema(0), std::move(values));
+  const std::span<const Value> l = left.values();
+  const std::span<const Value> r = right.values();
+  out_scratch_.assign(l.begin(), l.end());
+  out_scratch_.insert(out_scratch_.end(), r.begin(), r.end());
+  Tuple out(output_schema(0), std::span<Value>(out_scratch_));
   out.set_timestamp(std::min(left.timestamp(), right.timestamp()));
   // Lineage is well-defined only when both sides share a sequence space
   // (same upstream server); otherwise leave it unset — the HA manager

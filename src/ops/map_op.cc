@@ -18,13 +18,12 @@ Status MapOp::InitImpl() {
 }
 
 Status MapOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
-  std::vector<Value> values;
-  values.reserve(spec_.projections.size());
+  out_scratch_.clear();
   for (const auto& [name, expr] : spec_.projections) {
     AURORA_ASSIGN_OR_RETURN(Value v, expr.Eval(t));
-    values.push_back(std::move(v));
+    out_scratch_.push_back(std::move(v));
   }
-  Tuple out(output_schema(0), std::move(values));
+  Tuple out(output_schema(0), std::span<Value>(out_scratch_));
   out.set_timestamp(t.timestamp());
   emitter->Emit(0, std::move(out));
   return Status::OK();
@@ -54,13 +53,12 @@ Status MapOp::ProcessBatchImpl(int input, TupleBatch& batch,
     fast_[j] = expr.EvalBatch(batch, &col_scratch_[j]) ? 1 : 0;
   }
   Status first = Status::OK();
-  std::vector<Value> values;
+  std::vector<Value>& values = out_scratch_;
   for (size_t i = 0; i < batch.size(); ++i) {
     const Tuple& t = batch.tuple(i);
     NoteBatchTupleIn(input, t);
     emitter->SetCurrent(t);
     values.clear();
-    values.reserve(nproj);
     Status st = Status::OK();
     for (size_t j = 0; j < nproj; ++j) {
       if (ident_[j] >= 0) {
@@ -68,7 +66,7 @@ Status MapOp::ProcessBatchImpl(int input, TupleBatch& batch,
         continue;
       }
       if (fast_[j]) {
-        values.push_back(Value(col_scratch_[j][i]));
+        values.emplace_back(col_scratch_[j][i]);
         continue;
       }
       Result<Value> v = spec_.projections[j].second.Eval(t);
@@ -84,7 +82,7 @@ Status MapOp::ProcessBatchImpl(int input, TupleBatch& batch,
       if (first.ok()) first = std::move(st);
       continue;
     }
-    Tuple out(output_schema(0), std::move(values));
+    Tuple out(output_schema(0), std::span<Value>(values));
     out.set_timestamp(t.timestamp());
     emitter->Emit(0, std::move(out));
   }

@@ -35,6 +35,10 @@ class MapOp : public Operator {
   std::vector<std::vector<int64_t>> col_scratch_;
   std::vector<uint8_t> fast_;
   std::vector<int> ident_;
+  /// Row of the output tuple being built; its values move into the tuple,
+  /// so one buffer serves every output. Never read after the Emit call, so
+  /// an emission that re-enters this box cannot disturb it.
+  std::vector<Value> out_scratch_;
 };
 
 }  // namespace aurora

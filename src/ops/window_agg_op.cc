@@ -55,9 +55,9 @@ void WindowAggOp::StepGroup(const std::vector<Value>& stored_key,
   auto agg = proto_agg_->Clone();
   agg->Reset();
   for (const auto& buffered : g.buffer) agg->Update(buffered.value(agg_index_));
-  std::vector<Value> values = stored_key;
-  values.push_back(agg->Final());
-  Tuple out(output_schema(0), std::move(values));
+  out_scratch_.assign(stored_key.begin(), stored_key.end());
+  out_scratch_.push_back(agg->Final());
+  Tuple out(output_schema(0), std::span<Value>(out_scratch_));
   out.set_timestamp(g.buffer.front().timestamp());
   SeqNo min_seq = kNoSeqNo;
   for (const auto& buffered : g.buffer) {

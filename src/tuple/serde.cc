@@ -152,13 +152,12 @@ Result<Tuple> Decoder::GetTuple(const SchemaPtr& schema) {
   AURORA_ASSIGN_OR_RETURN(uint64_t seq, GetU64());
   AURORA_ASSIGN_OR_RETURN(uint64_t trace_id, GetU64());
   AURORA_ASSIGN_OR_RETURN(uint16_t count, GetU16());
-  std::vector<Value> values;
-  values.reserve(count);
+  values_scratch_.clear();
   for (uint16_t i = 0; i < count; ++i) {
     AURORA_ASSIGN_OR_RETURN(Value v, GetValue());
-    values.push_back(std::move(v));
+    values_scratch_.push_back(std::move(v));
   }
-  Tuple t(schema, std::move(values));
+  Tuple t(schema, std::span<Value>(values_scratch_));
   t.set_timestamp(SimTime::Micros(ts));
   t.set_seq(seq);
   t.set_trace_id(trace_id);

@@ -78,6 +78,9 @@ class Decoder {
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
+  /// Row of the tuple GetTuple is decoding; its values move into the tuple,
+  /// so a batch decode reuses one buffer.
+  std::vector<Value> values_scratch_;
 };
 
 /// Round-trip helpers used by tests and the transport layer.

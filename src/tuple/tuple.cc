@@ -1,8 +1,39 @@
 #include "tuple/tuple.h"
 
+#include <memory>
+#include <new>
+#include <type_traits>
+
 #include "common/logging.h"
 
 namespace aurora {
+
+static_assert(sizeof(Tuple) == 32,
+              "a Tuple handle is one pointer and three words");
+
+Tuple::Body* Tuple::Allocate(SchemaPtr schema, size_t n) {
+  static_assert(sizeof(Body) == 32, "the block header is 32 bytes");
+  static_assert(alignof(Value) <= alignof(Body) &&
+                    sizeof(Body) % alignof(Value) == 0,
+                "values start aligned right after the header");
+  AURORA_CHECK(n <= UINT32_MAX) << "too many values for one tuple";
+  void* raw = ::operator new(sizeof(Body) + n * sizeof(Value));
+  return new (raw) Body{{1}, static_cast<uint32_t>(n), {kUnknownWire},
+                        std::move(schema)};
+}
+
+void Tuple::Destroy(Body* body) noexcept {
+  std::destroy_n(body->values(), body->count);
+  body->~Body();
+  ::operator delete(body);
+}
+
+Tuple::Tuple(SchemaPtr schema, std::span<Value> values)
+    : body_(Allocate(std::move(schema), values.size())) {
+  static_assert(std::is_nothrow_move_constructible_v<Value>,
+                "moving the values in cannot fail halfway");
+  std::uninitialized_move(values.begin(), values.end(), body_->values());
+}
 
 const Value& Tuple::Get(const std::string& field_name) const {
   AURORA_DCHECK(!TupleHotPathSection::InHotPath())
@@ -10,30 +41,43 @@ const Value& Tuple::Get(const std::string& field_name) const {
       << "\") inside an operator activation — bind the field index at box "
          "initialization instead (Expr::Bind / Predicate::Bind / "
          "Schema::IndexOf at InitImpl)";
-  AURORA_CHECK(schema_ != nullptr) << "tuple has no schema";
-  auto idx = schema_->IndexOf(field_name);
+  AURORA_CHECK(schema() != nullptr) << "tuple has no schema";
+  auto idx = schema()->IndexOf(field_name);
   AURORA_CHECK(idx.ok()) << idx.status().ToString();
-  return body_->values[*idx];
+  return body_->values()[*idx];
 }
 
-Tuple::TupleBody* Tuple::DetachBody() {
+Tuple::Body* Tuple::DetachBody() {
   AURORA_CHECK(body_ != nullptr) << "tuple has no values";
-  if (body_.use_count() != 1) {
-    body_ = std::make_shared<const TupleBody>(body_->values);
+  // Acquire pairs with the release half of other handles' drops, so their
+  // reads of the values happen before this handle writes them in place.
+  if (body_->refs.load(std::memory_order_acquire) != 1) {
+    Body* copy = Allocate(body_->schema, body_->count);
+    try {
+      std::uninitialized_copy_n(body_->values(), body_->count, copy->values());
+    } catch (...) {
+      // uninitialized_copy_n already destroyed the values it had built.
+      copy->~Body();
+      ::operator delete(copy);
+      throw;
+    }
+    Release(body_);
+    body_ = copy;
   }
-  // Sole owner now: mutating through the const pointer is safe.
-  TupleBody* body = const_cast<TupleBody*>(body_.get());
-  body->wire_values.store(kUnknownWire, std::memory_order_relaxed);
-  return body;
+  body_->wire_values.store(kUnknownWire, std::memory_order_relaxed);
+  return body_;
 }
 
 void Tuple::SetValue(size_t i, Value v) {
-  TupleBody* body = DetachBody();
-  AURORA_CHECK(i < body->values.size()) << "value index out of range";
-  body->values[i] = std::move(v);
+  Body* body = DetachBody();
+  AURORA_CHECK(i < body->count) << "value index out of range";
+  body->values()[i] = std::move(v);
 }
 
-std::vector<Value>& Tuple::MutableValues() { return DetachBody()->values; }
+std::span<Value> Tuple::MutableValues() {
+  Body* body = DetachBody();
+  return {body->values(), body->count};
+}
 
 size_t Tuple::WireSize() const {
   // 8-byte timestamp + 8-byte seq + 8-byte trace id + 2-byte value count.
@@ -42,7 +86,7 @@ size_t Tuple::WireSize() const {
   size_t cached = body_->wire_values.load(std::memory_order_relaxed);
   if (cached == kUnknownWire) {
     size_t values_size = 0;
-    for (const auto& v : body_->values) values_size += v.WireSize();
+    for (const Value& v : values()) values_size += v.WireSize();
     body_->wire_values.store(values_size, std::memory_order_relaxed);
     cached = values_size;
   }
@@ -51,11 +95,12 @@ size_t Tuple::WireSize() const {
 
 std::string Tuple::ToString() const {
   std::string out = "(";
-  const std::vector<Value>& vals = values();
+  const std::span<const Value> vals = values();
+  const SchemaPtr& s = schema();
   for (size_t i = 0; i < vals.size(); ++i) {
     if (i > 0) out += ", ";
-    if (schema_ && i < schema_->num_fields()) {
-      out += schema_->field(i).name;
+    if (s && i < s->num_fields()) {
+      out += s->field(i).name;
       out += "=";
     }
     out += vals[i].ToString();

@@ -1,10 +1,12 @@
 #ifndef AURORA_TUPLE_TUPLE_H_
 #define AURORA_TUPLE_TUPLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -19,14 +21,18 @@ namespace aurora {
 using SeqNo = uint64_t;
 inline constexpr SeqNo kNoSeqNo = 0;
 
-/// \brief One stream tuple: a cheap handle over a refcounted immutable row
-/// of values, plus per-hop stream-processing metadata.
+/// \brief One stream tuple: a 32-byte handle over a refcounted immutable
+/// row of values, plus per-hop stream-processing metadata.
 ///
-/// Copying a Tuple copies two shared_ptrs and three integers; the value
-/// vector itself (the `TupleBody`) is shared by every copy. Arc hops,
-/// ConnectionPoint fan-out, HA backup queues, and transport trains therefore
-/// all alias one allocation. Mutation (`SetValue`, `MutableValues`) detaches
-/// a private copy first (copy-on-write), so sharing is never observable.
+/// The row lives in one heap block: a 32-byte header (atomic refcount,
+/// value count, cached wire size, the stream's SchemaPtr) followed by the
+/// Values inline. Constructing a tuple is one allocation; copying or
+/// dropping a handle is one atomic operation on that tuple's own block, so
+/// threads moving different tuples of one stream never write a common
+/// control block. Arc hops, ConnectionPoint fan-out, HA backup queues, and
+/// transport trains all alias one block. Mutation (`SetValue`,
+/// `MutableValues`) detaches a private copy first (copy-on-write), so
+/// sharing is never observable.
 ///
 /// Metadata carried per handle (NOT shared — each copy may be restamped):
 ///  - `timestamp`: creation time at the data source; drives latency QoS.
@@ -36,20 +42,62 @@ inline constexpr SeqNo kNoSeqNo = 0;
 ///    Tracer is enabled (src/obs/trace.h); 0 = untraced. Propagated to
 ///    derived tuples and across the wire so a tuple's spans can be stitched
 ///    across nodes.
-/// The schema pointer is shared by all tuples of a stream.
+/// The schema is shared by all tuples of a stream and held in the block, so
+/// `schema()` returns a reference that lives as long as the block does: do
+/// not hold it across a reassignment of the handle it came from.
 class Tuple {
  public:
   Tuple() = default;
+  /// Moves `values` into a new block.
   Tuple(SchemaPtr schema, std::vector<Value> values)
-      : schema_(std::move(schema)),
-        body_(std::make_shared<const TupleBody>(std::move(values))) {}
+      : Tuple(std::move(schema), std::span<Value>(values)) {}
+  /// Moves the values out of a caller-owned span into a new block. The
+  /// caller's container keeps its storage (holding moved-from values), so a
+  /// per-operator scratch vector can be cleared and refilled per output.
+  Tuple(SchemaPtr schema, std::span<Value> values);
 
-  const SchemaPtr& schema() const { return schema_; }
-  size_t num_values() const { return body_ ? body_->values.size() : 0; }
-  const Value& value(size_t i) const { return body_->values[i]; }
-  const std::vector<Value>& values() const {
-    static const std::vector<Value> kEmpty;
-    return body_ ? body_->values : kEmpty;
+  Tuple(const Tuple& other) noexcept
+      : body_(other.body_),
+        timestamp_(other.timestamp_),
+        seq_(other.seq_),
+        trace_id_(other.trace_id_) {
+    Retain(body_);
+  }
+  Tuple(Tuple&& other) noexcept
+      : body_(std::exchange(other.body_, nullptr)),
+        timestamp_(other.timestamp_),
+        seq_(other.seq_),
+        trace_id_(other.trace_id_) {}
+  Tuple& operator=(const Tuple& other) noexcept {
+    Retain(other.body_);  // before Release: safe under self-assignment
+    Release(body_);
+    body_ = other.body_;
+    timestamp_ = other.timestamp_;
+    seq_ = other.seq_;
+    trace_id_ = other.trace_id_;
+    return *this;
+  }
+  Tuple& operator=(Tuple&& other) noexcept {
+    if (this != &other) {
+      Release(body_);
+      body_ = std::exchange(other.body_, nullptr);
+      timestamp_ = other.timestamp_;
+      seq_ = other.seq_;
+      trace_id_ = other.trace_id_;
+    }
+    return *this;
+  }
+  ~Tuple() { Release(body_); }
+
+  /// The stream's schema; a null SchemaPtr for a default tuple.
+  const SchemaPtr& schema() const {
+    return body_ != nullptr ? body_->schema : kNoSchema;
+  }
+  size_t num_values() const { return body_ != nullptr ? body_->count : 0; }
+  const Value& value(size_t i) const { return body_->values()[i]; }
+  std::span<const Value> values() const {
+    if (body_ == nullptr) return {};
+    return {body_->values(), body_->count};
   }
 
   /// Replaces field `i`, detaching a private body copy if this handle
@@ -58,7 +106,7 @@ class Tuple {
 
   /// Mutable access to the whole row; detaches a private body copy first.
   /// Setup/repair paths only — never on the per-tuple hot path.
-  std::vector<Value>& MutableValues();
+  std::span<Value> MutableValues();
 
   /// Value of the named field; aborts if absent (operator wiring validates
   /// field presence at network-construction time). Setup/debug/sink paths
@@ -85,7 +133,7 @@ class Tuple {
 
   bool ValuesEqual(const Tuple& other) const {
     if (body_ == other.body_) return true;
-    return values() == other.values();
+    return std::ranges::equal(values(), other.values());
   }
 
   /// True when both handles alias the same body allocation. Test/debug
@@ -95,22 +143,45 @@ class Tuple {
   }
 
  private:
-  struct TupleBody {
-    explicit TupleBody(std::vector<Value> v) : values(std::move(v)) {}
-    std::vector<Value> values;
-    /// Cached sum of the values' wire bytes; kUnknownWire until first
-    /// WireSize() call. Relaxed atomic: bodies are shared across worker
-    /// threads, and racing fillers recompute the same value, so any
-    /// interleaving stores the correct size.
-    mutable std::atomic<size_t> wire_values{kUnknownWire};
+  /// The block header; `count` Values follow it inline.
+  struct Body {
+    /// Handles aliasing this block. Increments are relaxed, decrements
+    /// acq_rel, and the last drop frees the block (shared_ptr's ordering).
+    std::atomic<uint32_t> refs;
+    uint32_t count;
+    /// Cached sum of the values' wire bytes; kUnknownWire until the first
+    /// WireSize() call. Relaxed: racing fillers on different threads
+    /// compute the same value, so any interleaving stores the right size.
+    std::atomic<size_t> wire_values;
+    SchemaPtr schema;
+
+    Value* values() { return reinterpret_cast<Value*>(this + 1); }
   };
   static constexpr size_t kUnknownWire = static_cast<size_t>(-1);
+  /// What schema() returns for a default tuple. Constant-initialized, so
+  /// reading it costs no function-local-static guard.
+  static constinit inline const SchemaPtr kNoSchema{};
 
-  /// Ensures body_ is uniquely owned (deep-copies if shared) and returns it.
-  TupleBody* DetachBody();
+  /// Allocates a block for `n` values with refs = 1; the caller constructs
+  /// the values.
+  static Body* Allocate(SchemaPtr schema, size_t n);
+  /// Destroys the values and schema and frees the block.
+  static void Destroy(Body* body) noexcept;
+  static void Retain(Body* body) noexcept {
+    if (body != nullptr) body->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  static void Release(Body* body) noexcept {
+    if (body != nullptr &&
+        body->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Destroy(body);
+    }
+  }
 
-  SchemaPtr schema_;
-  std::shared_ptr<const TupleBody> body_;
+  /// Ensures body_ is uniquely owned (deep-copies if shared), clears its
+  /// cached wire size, and returns it.
+  Body* DetachBody();
+
+  Body* body_ = nullptr;
   SimTime timestamp_{};
   SeqNo seq_ = kNoSeqNo;
   uint64_t trace_id_ = 0;

@@ -194,8 +194,9 @@ TEST(ReadyQueueTest, TakeArcQueueAndDisconnectClearReadiness) {
   EXPECT_EQ(p.delivered, 0u);
 }
 
-// Interleaved pushes and steps churn the lazy-invalidation heap (every push
-// bumps the box's generation); nothing may be lost or double-scheduled.
+// Interleaved pushes and steps churn the lazy-invalidation heap (every pick
+// reposts each box whose queue changed); nothing may be lost or
+// double-scheduled.
 TEST(ReadyQueueTest, InterleavedPushAndStepDeliversEverything) {
   EngineOptions opts;
   opts.scheduler = SchedulerPolicy::kLongestQueue;
@@ -215,6 +216,104 @@ TEST(ReadyQueueTest, InterleavedPushAndStepDeliversEverything) {
   }
   ASSERT_OK(p.engine.RunUntilQuiescent(SimTime()));
   EXPECT_EQ(p.delivered, total);
+  EXPECT_FALSE(p.engine.HasWork());
+  EXPECT_EQ(p.engine.TotalQueuedTuples(), 0u);
+}
+
+// The lazy heap under load: thousands of enqueues land between picks, so
+// each box's heap entry is reposted once per pick from the dirty list, not
+// once per enqueue. Chokes, unchokes, TakeArcQueue (with re-enqueue onto
+// another arc) and DisconnectArc/Connect all mutate the queues in between;
+// every pick must still match the linear-scan oracle exactly.
+TEST(ReadyQueueTest, LongestQueueOracleUnderBulkEnqueuesAndRewiring) {
+  const int kChains = 6;
+  const size_t kTrain = 64;
+  EngineOptions opts;
+  opts.scheduler = SchedulerPolicy::kLongestQueue;
+  opts.train_size = static_cast<int>(kTrain);
+  ParallelChains p(opts, kChains);
+  Rng rng = testing_util::MakeTestRng(15);
+  std::vector<ArcId> arc_of = p.arcs;  // -1 while disconnected
+  auto queued = [&](int i) {
+    return arc_of[i] < 0 ? size_t{0} : p.engine.ArcQueueSize(arc_of[i]);
+  };
+  size_t admitted = 0;  // pushes that reached a consumable queue or a hold
+  size_t taken = 0;     // tuples removed by TakeArcQueue and not re-enqueued
+  int picks = 0;
+  for (int round = 0; round < 40; ++round) {
+    const int burst = static_cast<int>(rng.UniformInt(500, 3000));
+    for (int k = 0; k < burst; ++k) {
+      const int i = static_cast<int>(rng.Uniform(kChains));
+      ASSERT_OK(p.engine.PushInput(p.ins[i], T(i, k), SimTime()));
+      if (arc_of[i] >= 0) admitted++;
+    }
+    const int i = static_cast<int>(rng.Uniform(kChains));
+    switch (rng.Uniform(5)) {
+      case 0:  // toggle a choke: later pushes go to the hold buffer
+        if (arc_of[i] >= 0) {
+          if (p.engine.ArcChoked(arc_of[i])) {
+            ASSERT_OK(p.engine.UnchokeArc(arc_of[i]));
+          } else {
+            ASSERT_OK(p.engine.ChokeArc(arc_of[i]));
+          }
+        }
+        break;
+      case 1: {  // migrate half of one queue onto the next chain's arc
+        if (arc_of[i] < 0) break;
+        ASSERT_OK_AND_ASSIGN(std::vector<Tuple> q,
+                             p.engine.TakeArcQueue(arc_of[i]));
+        const int j = (i + 1) % kChains;
+        for (size_t k = 0; k < q.size(); ++k) {
+          if (k % 2 == 0 && arc_of[j] >= 0) {
+            ASSERT_OK(p.engine.EnqueueOnArc(arc_of[j], q[k], SimTime()));
+          } else {
+            taken++;
+          }
+        }
+        break;
+      }
+      case 2:  // disconnect an arc (emptying it first) or reconnect it
+        if (arc_of[i] >= 0) {
+          ASSERT_OK(p.engine.UnchokeArc(arc_of[i]));
+          ASSERT_OK_AND_ASSIGN(std::vector<Tuple> q,
+                               p.engine.TakeArcQueue(arc_of[i]));
+          taken += q.size();
+          ASSERT_OK(p.engine.DisconnectArc(arc_of[i]));
+          arc_of[i] = -1;
+        } else {
+          ASSERT_OK_AND_ASSIGN(
+              arc_of[i], p.engine.Connect(Endpoint::InputPort(p.ins[i]),
+                                          Endpoint::BoxPort(p.boxes[i], 0)));
+        }
+        break;
+      default:
+        break;
+    }
+    for (int step = 0; step < 8; ++step) {
+      std::vector<size_t> before(kChains);
+      int best = -1;
+      for (int c = 0; c < kChains; ++c) {
+        before[c] = queued(c);
+        if (before[c] > 0 && (best < 0 || before[c] > before[best])) best = c;
+      }
+      EXPECT_EQ(p.engine.HasWork(), best >= 0) << "round " << round;
+      ASSERT_OK(p.engine.RunOneStep(SimTime()).status());
+      picks++;
+      for (int c = 0; c < kChains; ++c) {
+        const size_t expected =
+            c == best ? before[c] - std::min(before[c], kTrain) : before[c];
+        ASSERT_EQ(queued(c), expected)
+            << "chain " << c << ", round " << round << ", step " << step;
+      }
+    }
+  }
+  // Unchoke everything and drain: nothing admitted may be lost.
+  for (ArcId a : arc_of) {
+    if (a >= 0) ASSERT_OK(p.engine.UnchokeArc(a));
+  }
+  ASSERT_OK(p.engine.RunUntilQuiescent(SimTime()));
+  EXPECT_GT(picks, 300);
+  EXPECT_EQ(p.delivered + taken, admitted);
   EXPECT_FALSE(p.engine.HasWork());
   EXPECT_EQ(p.engine.TotalQueuedTuples(), 0u);
 }

@@ -40,6 +40,146 @@ TEST(CowTupleTest, DefaultConstructedSharesNothing) {
   EXPECT_TRUE(a.ValuesEqual(b));  // both empty
 }
 
+// ---- The single-block body contract ---------------------------------------
+
+// The handle is {body pointer, timestamp, seq, trace id}.
+static_assert(sizeof(Tuple) == 32);
+
+TEST(TupleBodyTest, DefaultTupleHasNullSchemaEmptyValuesAndHeaderWireSize) {
+  Tuple t;
+  EXPECT_EQ(t.schema(), nullptr);
+  EXPECT_TRUE(t.values().empty());
+  EXPECT_EQ(t.num_values(), 0u);
+  EXPECT_EQ(t.WireSize(), 26u);  // timestamp + seq + trace id + count
+  EXPECT_EQ(t.ToString(), "()");
+}
+
+TEST(TupleBodyTest, SchemaLivesInTheBody) {
+  SchemaPtr schema = SchemaABS();
+  Tuple t = MakeTuple(schema, {Value(int64_t{1}), Value(int64_t{2}),
+                               Value("s")});
+  EXPECT_EQ(t.schema().get(), schema.get());
+  EXPECT_EQ(schema.use_count(), 2);  // the test's copy and the body's
+  Tuple copy = t;
+  EXPECT_EQ(schema.use_count(), 2);  // handle copies share the body's
+  t = Tuple();
+  copy = Tuple();
+  EXPECT_EQ(schema.use_count(), 1);  // the last drop freed the body
+}
+
+TEST(TupleBodyTest, CopyMoveAndSelfAssignment) {
+  Tuple t = T(1, 2, "body");
+  t.set_seq(7);
+  t.set_timestamp(SimTime::Micros(11));
+  t.set_trace_id(13);
+
+  Tuple copy(t);
+  EXPECT_TRUE(copy.SharesBodyWith(t));
+  EXPECT_EQ(copy.seq(), 7u);
+  EXPECT_EQ(copy.timestamp(), SimTime::Micros(11));
+  EXPECT_EQ(copy.trace_id(), 13u);
+
+  Tuple assigned = T(9, 9, "other");
+  assigned = copy;
+  EXPECT_TRUE(assigned.SharesBodyWith(t));
+  EXPECT_EQ(assigned.seq(), 7u);
+
+  // Self-assignment, copy and move, keeps the body alive and unchanged.
+  Tuple& alias = assigned;
+  assigned = alias;
+  EXPECT_TRUE(assigned.SharesBodyWith(t));
+  assigned = std::move(alias);
+  EXPECT_TRUE(assigned.SharesBodyWith(t));
+  EXPECT_EQ(assigned.value(2).AsString(), "body");
+
+  // A moved-from handle is empty; its metadata stays readable.
+  Tuple moved(std::move(copy));
+  EXPECT_TRUE(moved.SharesBodyWith(t));
+  EXPECT_EQ(moved.trace_id(), 13u);
+  EXPECT_EQ(copy.num_values(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.schema(), nullptr);
+  EXPECT_FALSE(copy.SharesBodyWith(t));
+  Tuple move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(move_assigned.SharesBodyWith(t));
+  EXPECT_TRUE(moved.values().empty());  // NOLINT(bugprone-use-after-move)
+
+  // A moved-from handle can be reassigned and used again.
+  moved = t;
+  EXPECT_TRUE(moved.SharesBodyWith(t));
+  EXPECT_TRUE(moved.ValuesEqual(t));
+}
+
+TEST(TupleBodyTest, SetValueMutatesUniqueBodyInPlaceAndDetachesSharedOne) {
+  Tuple t = T(1, 2, "in-place");
+  const Value* before = &t.value(0);
+  t.SetValue(0, Value(int64_t{5}));
+  EXPECT_EQ(&t.value(0), before);  // unique: no new block
+  EXPECT_EQ(t.value(0).AsInt(), 5);
+
+  Tuple other = t;
+  t.SetValue(0, Value(int64_t{6}));
+  EXPECT_NE(&t.value(0), before);  // shared: detached into a new block
+  EXPECT_EQ(&other.value(0), before);
+  EXPECT_EQ(t.value(0).AsInt(), 6);
+  EXPECT_EQ(other.value(0).AsInt(), 5);
+  EXPECT_EQ(t.schema().get(), other.schema().get());
+}
+
+TEST(TupleBodyTest, MutableValuesMutatesUniqueBodyInPlaceAndDetachesShared) {
+  Tuple t = T(1, 2, "span");
+  const Value* before = &t.value(0);
+  std::span<Value> row = t.MutableValues();
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row.data(), before);  // unique: the same block
+  row[1] = Value(int64_t{20});
+  EXPECT_EQ(t.value(1).AsInt(), 20);
+
+  Tuple other = t;
+  const size_t wire = other.WireSize();
+  std::span<Value> detached = t.MutableValues();
+  EXPECT_NE(detached.data(), before);  // shared: a private copy
+  detached[2] = Value("span, longer");
+  EXPECT_EQ(other.value(2).AsString(), "span");
+  EXPECT_EQ(other.WireSize(), wire);
+  EXPECT_EQ(t.WireSize(), wire + 8);  // the cache was reset on detach
+}
+
+TEST(TupleBodyTest, SpanConstructorLeavesCallerScratchReusable) {
+  SchemaPtr schema = SchemaABS();
+  std::vector<Value> scratch = {Value(int64_t{1}), Value(int64_t{2}),
+                                Value("first")};
+  const Value* storage = scratch.data();
+  Tuple a(schema, std::span<Value>(scratch));
+  // The caller keeps its buffer; the tuple owns the values.
+  EXPECT_EQ(scratch.size(), 3u);
+  EXPECT_EQ(scratch.data(), storage);
+  EXPECT_NE(&a.value(0), storage);
+  scratch.clear();
+  scratch.emplace_back(int64_t{3});
+  scratch.emplace_back(int64_t{4});
+  scratch.emplace_back("second");
+  EXPECT_EQ(scratch.data(), storage);  // refilled without reallocating
+  Tuple b(schema, std::span<Value>(scratch));
+  EXPECT_EQ(a.value(0).AsInt(), 1);
+  EXPECT_EQ(a.value(2).AsString(), "first");
+  EXPECT_EQ(b.value(0).AsInt(), 3);
+  EXPECT_EQ(b.value(2).AsString(), "second");
+  EXPECT_FALSE(a.SharesBodyWith(b));
+  EXPECT_TRUE(b.ValuesEqual(T(3, 4, "second")));
+  EXPECT_EQ(b.WireSize(), T(3, 4, "second").WireSize());
+}
+
+TEST(TupleBodyTest, EmptyRowStillCarriesItsSchema) {
+  SchemaPtr empty = Schema::Make({});
+  Tuple t(empty, std::vector<Value>{});
+  EXPECT_EQ(t.schema().get(), empty.get());
+  EXPECT_TRUE(t.values().empty());
+  EXPECT_EQ(t.WireSize(), 26u);
+  Tuple copy = t;
+  EXPECT_TRUE(copy.SharesBodyWith(t));
+}
+
 TEST(CowTupleTest, MutationAfterShareDetachesPrivateCopy) {
   Tuple t = T(1, 2, "original");
   Tuple copy = t;
