@@ -244,6 +244,10 @@ class Transport {
   Counter* m_flow_probes_;
   LatencyHistogram* m_train_msgs_;
   LatencyHistogram* m_train_tuples_;
+  /// Guards every event and network callback this transport schedules
+  /// (wakes, link-free events, frame and probe deliveries): once the
+  /// transport is destroyed they do nothing.
+  Liveness liveness_;
 };
 
 }  // namespace aurora

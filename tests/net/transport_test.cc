@@ -285,6 +285,37 @@ TEST(TransportFlowTest, PartitionPausesInsteadOfDropping) {
   EXPECT_EQ(rig.net.MessagesDropped(), 0u);
 }
 
+// A transport destroyed while the simulation still holds its events must
+// leave them as no-ops. Destroyed at once, it leaves a frame on the wire and
+// the link-free event; one event later, the frame, a credit probe and the
+// stall's retry wake.
+TEST(TransportTest, DestroyedTransportIgnoresItsPendingEvents) {
+  for (int steps : {0, 1}) {
+    SCOPED_TRACE(steps);
+    TransportRig rig;
+    TransportOptions opts = Mode(TransportMode::kMultiplexed);
+    opts.credit_window_bytes = 250;
+    size_t delivered = 0;
+    size_t probed = 0;
+    auto tx = std::make_unique<Transport>(&rig.sim, &rig.net, rig.a, rig.b,
+                                          opts);
+    ASSERT_OK(tx->RegisterStream("s", 1.0));
+    tx->SetDeliveryHandler(
+        [&](const std::string&, const Message&) { delivered++; });
+    tx->SetFlowProbeHandler([&](const std::string&, uint64_t) { probed++; });
+    for (int i = 0; i < 3; ++i) ASSERT_OK(tx->Send("s", rig.Msg(200)));
+    for (int i = 0; i < steps; ++i) ASSERT_TRUE(rig.sim.RunOne());
+    EXPECT_EQ(tx->frames_sent(), 1u);  // the rest is past the credit window
+    EXPECT_EQ(tx->credit_stalls(), static_cast<uint64_t>(steps));
+    EXPECT_EQ(rig.sim.pending(), steps == 0 ? 2u : 3u);
+    tx.reset();
+    rig.sim.RunAll();
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_EQ(probed, 0u);
+    EXPECT_EQ(rig.sim.pending(), 0u);
+  }
+}
+
 TEST(TransportTest, QueueAccounting) {
   TransportRig rig(/*bandwidth=*/1'000);  // very slow
   Transport tx(&rig.sim, &rig.net, rig.a, rig.b,
