@@ -23,20 +23,21 @@ InvariantMonitor::InvariantMonitor(Simulation* sim, OverlayNetwork* net,
 void InvariantMonitor::Install() {
   for (size_t i = 0; i < system_->num_nodes(); ++i) {
     system_->node(static_cast<NodeId>(i))
-        .SetDeliveryProbe([this](NodeId node, const std::string& stream,
-                                 const Tuple& t, bool duplicate) {
-          OnDelivery(node, stream, t, duplicate);
-        });
+        .SetDeliveryProbe(liveness_.Guard(
+            [this](NodeId node, const std::string& stream, const Tuple& t,
+                   bool duplicate) {
+              OnDelivery(node, stream, t, duplicate);
+            }));
   }
-  check_timer_ = sim_->SchedulePeriodicCancelable(kCheckInterval, [this] {
+  sim_->SchedulePeriodic(kCheckInterval, liveness_.Guard([this] {
     PeriodicCheck();
     return true;
-  });
+  }));
   if (system_->num_nodes() > 1) {
-    hb_timer_ = sim_->SchedulePeriodicCancelable(kHeartbeatInterval, [this] {
+    sim_->SchedulePeriodic(kHeartbeatInterval, liveness_.Guard([this] {
       HeartbeatTick();
       return true;
-    });
+    }));
   }
 }
 
@@ -155,10 +156,10 @@ void InvariantMonitor::HeartbeatTick() {
       Message hb;
       hb.kind = "hb";
       net_->Send(sender, receiver, std::move(hb),
-                 [this, receiver, sender](const Message&) {
+                 liveness_.Guard([this, receiver, sender](const Message&) {
                    if (!system_->node(receiver).up()) return;
                    detector_.RecordHeartbeat(receiver, sender, sim_->Now());
-                 });
+                 }));
     }
   }
   detector_.CheckSilence(now);

@@ -97,8 +97,8 @@ class InvariantMonitor {
   std::map<std::string, int> reported_;  // per-kind cap
   uint64_t delivered_ = 0;
   uint64_t duplicates_ = 0;
-  PeriodicTimer check_timer_;
-  PeriodicTimer hb_timer_;
+  /// Guards the timers, heartbeats in flight and the delivery probes.
+  Liveness liveness_;
 };
 
 }  // namespace aurora

@@ -80,11 +80,11 @@ Status CatalogBinding::RouteSourceTuple(NodeId at,
   msg.kind = "route:tuple";
   msg.stream = input_name;
   msg.payload = SerializeTuples({t});
-  AuroraStarSystem* system = system_;
-  return system_->net()->Send(
-      at, home, std::move(msg), [system, home](const Message& m) {
-        system->node(home).OnRemoteTuples(m.stream, m.payload);
-      });
+  StreamNode* dst = &system_->node(home);
+  return system_->net()->Send(at, home, std::move(msg),
+                              dst->liveness().Guard([dst](const Message& m) {
+                                dst->OnRemoteTuples(m.stream, m.payload);
+                              }));
 }
 
 }  // namespace aurora

@@ -8,10 +8,10 @@ namespace aurora {
 
 void LoadShareDaemon::Start() {
   last_round_ = system_->sim()->Now();
-  system_->sim()->SchedulePeriodic(opts_.interval, [this]() {
+  system_->sim()->SchedulePeriodic(opts_.interval, liveness_.Guard([this]() {
     RunOnce();
     return true;
-  });
+  }));
 }
 
 std::vector<LoadShareDaemon::BoxLoad> LoadShareDaemon::MeasureBoxLoads(

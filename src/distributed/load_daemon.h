@@ -89,6 +89,8 @@ class LoadShareDaemon {
   uint64_t splits_ = 0;
   uint64_t rounds_ = 0;
   uint64_t split_counter_ = 0;
+  /// Guards the daemon's periodic round.
+  Liveness liveness_;
 };
 
 }  // namespace aurora

@@ -91,7 +91,7 @@ void StreamNode::Start() {
   if (started_) return;
   started_ = true;
   window_start_ = sim_->Now();
-  tick_ = sim_->SchedulePeriodicCancelable(tick_interval_, [this]() {
+  sim_->SchedulePeriodic(tick_interval_, liveness_.Guard([this]() {
     if (!up_) return true;  // keep the timer; skip while down
     engine_.Tick(sim_->Now());
     if (flow_enabled()) {
@@ -105,7 +105,7 @@ void StreamNode::Start() {
     FlushPending();
     Kick();
     return true;
-  });
+  }));
 }
 
 Transport* StreamNode::TransportTo(StreamNode* dst) {
@@ -114,16 +114,14 @@ Transport* StreamNode::TransportTo(StreamNode* dst) {
   auto transport = std::make_unique<Transport>(sim_, net_, id_, dst->id(),
                                                transport_opts_);
   // Delivery executes logically at the destination node.
-  transport->SetDeliveryHandler(
-      [dst, alive = dst->liveness_.token()](const std::string& stream,
-                                            const Message& msg) {
-        if (!alive.expired()) dst->OnRemoteMessage(stream, msg);
-      });
-  transport->SetFlowProbeHandler(
-      [dst, alive = dst->liveness_.token()](const std::string& stream,
-                                            uint64_t sent_offset) {
-        if (!alive.expired()) dst->OnFlowProbe(stream, sent_offset);
-      });
+  transport->SetDeliveryHandler(dst->liveness_.Guard(
+      [dst](const std::string& stream, const Message& msg) {
+        dst->OnRemoteMessage(stream, msg);
+      }));
+  transport->SetFlowProbeHandler(dst->liveness_.Guard(
+      [dst](const std::string& stream, uint64_t sent_offset) {
+        dst->OnFlowProbe(stream, sent_offset);
+      }));
   Transport* raw = transport.get();
   transports_[dst->id()] = std::move(transport);
   return raw;
@@ -265,9 +263,9 @@ void StreamNode::MaybeGrantCredit(const std::string& stream, IncomingStream& in,
   StreamNode* src = in.src;
   Status sent = net_->Send(
       id_, src->id(), std::move(grant),
-      [src, stream, alive = src->liveness_.token()](const Message& m) {
-        if (!alive.expired()) src->OnFlowGrant(stream, m.flow_offset);
-      });
+      src->liveness_.Guard([src, stream](const Message& m) {
+        src->OnFlowGrant(stream, m.flow_offset);
+      }));
   if (!sent.ok()) {
     AURORA_LOG(Warn) << "node " << id_
                      << ": credit grant send failed: " << sent.ToString();
@@ -390,9 +388,7 @@ void StreamNode::ScheduleStep() {
   step_scheduled_ = true;
   // Never start a step while the CPU is still charged with earlier work.
   SimTime at = std::max(sim_->Now() + SimDuration::Micros(1), busy_until_);
-  sim_->ScheduleAt(at, [this, alive = liveness_.token()]() {
-    if (!alive.expired()) Step();
-  });
+  sim_->ScheduleAt(at, liveness_.Guard([this]() { Step(); }));
 }
 
 void StreamNode::Step() {

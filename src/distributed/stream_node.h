@@ -36,6 +36,10 @@ class StreamNode {
   /// Begins periodic engine ticks (WSort timeouts etc.).
   void Start();
 
+  /// Scope of this node's lifetime: callbacks that other components send
+  /// toward the node (e.g. routed source tuples) are wrapped in its Guard.
+  const Liveness& liveness() const { return liveness_; }
+
   // ---- Remote arcs -------------------------------------------------------
 
   /// Routes the named engine output to `remote_input` on `dst`. The stream
@@ -313,12 +317,10 @@ class StreamNode {
   Counter* m_flow_granted_bytes_;
   Counter* m_halog_appends_;
   Counter* m_halog_replayed_;
-  /// The periodic tick; destroying the node cancels it.
-  PeriodicTimer tick_;
-  /// Guards every one-shot callback that points at this node: its steps,
-  /// its peers' transport deliveries and probes into it, and the credit
-  /// grants its receivers send back to it. Once the node is destroyed they
-  /// do nothing. (Its own transports guard their events the same way.)
+  /// Guards every callback that points at this node: its tick and steps,
+  /// its peers' transport deliveries and probes into it, the credit grants
+  /// its receivers send back to it, and tuples routed to it by a
+  /// CatalogBinding. (Its own transports guard their events the same way.)
   Liveness liveness_;
 };
 

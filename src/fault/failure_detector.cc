@@ -34,11 +34,6 @@ void HeartbeatFailureDetector::ForgetWatcher(EndpointId watcher) {
   }
 }
 
-void HeartbeatFailureDetector::Clear() {
-  pairs_.clear();
-  suspected_.clear();
-}
-
 void HeartbeatFailureDetector::RecordHeartbeat(EndpointId watcher,
                                                EndpointId watched,
                                                SimTime now) {

@@ -66,8 +66,6 @@ class HeartbeatFailureDetector {
   /// watcher itself goes down, so a dead watcher's stale silence can't
   /// convict its live neighbours.
   void ForgetWatcher(EndpointId watcher);
-  /// Drops all state (detector shutdown).
-  void Clear();
 
   bool IsArmed(EndpointId watcher, EndpointId watched) const {
     return pairs_.count({watcher, watched}) > 0;

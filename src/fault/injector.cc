@@ -25,29 +25,29 @@ Status Injector::Arm() {
   armed_ = true;
   system_->net()->SeedPerturbations(opts_.seed);
   if (opts_.ha != nullptr) {
-    opts_.ha->SetFailureObserver(
+    opts_.ha->SetFailureObserver(liveness_.Guard(
         [this](NodeId failed, NodeId /*watcher*/, SimTime detected_at) {
           auto it = crash_time_.find(failed);
           if (it == crash_time_.end()) return;  // not one of ours
           double ms = (detected_at - it->second).seconds() * 1e3;
           mttd_ms_.push_back(ms);
           m_mttd_ms_->Record(ms);
-        });
-    opts_.ha->SetRecoveryObserver(
+        }));
+    opts_.ha->SetRecoveryObserver(liveness_.Guard(
         [this](NodeId failed, NodeId /*backup*/, SimTime recovered_at) {
           auto it = crash_time_.find(failed);
           if (it == crash_time_.end()) return;
           double ms = (recovered_at - it->second).seconds() * 1e3;
           mttr_ms_.push_back(ms);
           m_mttr_ms_->Record(ms);
-        });
+        }));
   }
   Simulation* sim = system_->sim();
   for (const FaultEvent& ev : plan_.events()) {
     if (ev.at < sim->Now()) {
       return Status::InvalidArgument("fault event scheduled in the past");
     }
-    sim->ScheduleAt(ev.at, [this, ev]() { Apply(ev); });
+    sim->ScheduleAt(ev.at, liveness_.Guard([this, ev]() { Apply(ev); }));
   }
   return Status::OK();
 }

@@ -87,6 +87,8 @@ class Injector {
   Counter* m_tuples_lost_;
   LatencyHistogram* m_mttd_ms_;
   LatencyHistogram* m_mttr_ms_;
+  /// Guards the scheduled plan events and the HA observers.
+  Liveness liveness_;
 };
 
 }  // namespace aurora

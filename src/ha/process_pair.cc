@@ -13,7 +13,7 @@ uint64_t ProcessPairModel::ProcessedSoFar() const {
 }
 
 void ProcessPairModel::Start(SimDuration poll) {
-  system_->sim()->SchedulePeriodic(poll, [this]() {
+  system_->sim()->SchedulePeriodic(poll, liveness_.Guard([this]() {
     uint64_t now_processed = ProcessedSoFar();
     uint64_t delta = now_processed - last_seen_;
     last_seen_ = now_processed;
@@ -27,7 +27,7 @@ void ProcessPairModel::Start(SimDuration poll) {
     msg.payload.resize(static_cast<size_t>(delta) * bytes_per_tuple_);
     (void)system_->net()->Send(primary_, backup_, std::move(msg), nullptr);
     return true;
-  });
+  }));
 }
 
 }  // namespace aurora

@@ -47,6 +47,8 @@ class ProcessPairModel {
   size_t bytes_per_tuple_;
   uint64_t last_seen_ = 0;
   uint64_t checkpoint_messages_ = 0;
+  /// Guards the checkpoint poll.
+  Liveness liveness_;
 };
 
 }  // namespace aurora

@@ -6,12 +6,6 @@
 
 namespace aurora {
 
-HaManager::~HaManager() {
-  checkpoint_timer_.Cancel();
-  heartbeat_timer_.Cancel();
-  detector_.Clear();
-}
-
 Status HaManager::Protect(DeployedQuery* deployed, const GlobalQuery* query) {
   if (protected_) return Status::FailedPrecondition("already protecting");
   deployed_ = deployed;
@@ -25,19 +19,16 @@ Status HaManager::Protect(DeployedQuery* deployed, const GlobalQuery* query) {
 }
 
 void HaManager::StartTimers() {
-  checkpoint_timer_ =
-      system_->sim()->SchedulePeriodicCancelable(opts_.checkpoint_interval,
-                                                 [this]() {
-                                                   RunCheckpointRound();
-                                                   return true;
-                                                 });
-  heartbeat_timer_ =
-      system_->sim()->SchedulePeriodicCancelable(opts_.heartbeat_interval,
-                                                 [this]() {
-                                                   HeartbeatRound();
-                                                   CheckFailures();
-                                                   return true;
-                                                 });
+  Simulation* sim = system_->sim();
+  sim->SchedulePeriodic(opts_.checkpoint_interval, liveness_.Guard([this]() {
+    RunCheckpointRound();
+    return true;
+  }));
+  sim->SchedulePeriodic(opts_.heartbeat_interval, liveness_.Guard([this]() {
+    HeartbeatRound();
+    CheckFailures();
+    return true;
+  }));
 }
 
 std::vector<HaManager::BindingRef> HaManager::BindingsInto(NodeId dst) const {
@@ -116,9 +107,11 @@ void HaManager::RunCheckpointRound() {
       report.kind = "ha:truncate";
       report.payload.resize(12);  // stream id + 8-byte seq, modeled
       NodeId dst = dst_node.id();
-      auto apply = [this, src, stream, upto](const Message&) {
-        truncated_tuples_ += system_->node(src).TruncateOutputLog(stream, upto);
-      };
+      auto apply =
+          liveness_.Guard([this, src, stream, upto](const Message&) {
+            truncated_tuples_ +=
+                system_->node(src).TruncateOutputLog(stream, upto);
+          });
       if (opts_.method == TruncationMethod::kFlowMessages) {
         (void)system_->net()->Send(dst, src, std::move(report), apply);
       } else {
@@ -127,10 +120,10 @@ void HaManager::RunCheckpointRound() {
         query.payload.resize(8);
         (void)system_->net()->Send(
             src, dst, std::move(query),
-            [this, src, dst, report = std::move(report), apply](
-                const Message&) mutable {
+            liveness_.Guard([this, src, dst, report = std::move(report),
+                             apply](const Message&) mutable {
               (void)system_->net()->Send(dst, src, std::move(report), apply);
-            });
+            }));
       }
     }
   }
@@ -152,11 +145,12 @@ void HaManager::HeartbeatRound() {
       hb.payload.resize(8);
       NodeId dst = dst_node.id();
       (void)system_->net()->Send(
-          dst, src, std::move(hb), [this, src, dst](const Message&) {
+          dst, src, std::move(hb),
+          liveness_.Guard([this, src, dst](const Message&) {
             if (system_->node(src).up()) {
               detector_.RecordHeartbeat(src, dst, system_->sim()->Now());
             }
-          });
+          }));
     }
   }
 }

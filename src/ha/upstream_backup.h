@@ -54,7 +54,8 @@ struct HaOptions {
 /// confirmed outputs. On failure (detected by heartbeat silence, §6.3) the
 /// upstream backup re-instantiates the failed server's query pieces locally
 /// and reprocesses its output log, "emulating the processing of the failed
-/// server".
+/// server". A manager may be destroyed before the simulation: its timers
+/// and the protocol messages it has in flight are guarded by its lifetime.
 class HaManager {
  public:
   /// Observes failure detections / completed recoveries (fault injection
@@ -69,9 +70,6 @@ class HaManager {
         opts_(opts),
         detector_(FailureDetectorOptions{opts.failure_timeout,
                                          opts.suspicion_threshold}) {}
-  /// Cancels the periodic timers and drops detector state, so a manager
-  /// destroyed mid-simulation can never fire a spurious late detection.
-  ~HaManager();
 
   /// Enables log retention on every current remote binding and starts the
   /// checkpoint and heartbeat timers. `deployed`/`query` describe the query
@@ -140,8 +138,6 @@ class HaManager {
   /// grace; live heartbeats refute suspicion.
   HeartbeatFailureDetector detector_;
   std::set<NodeId> known_failed_;
-  PeriodicTimer checkpoint_timer_;
-  PeriodicTimer heartbeat_timer_;
   FailureObserver on_failure_;
   RecoveryObserver on_recovery_;
   uint64_t checkpoint_messages_ = 0;
@@ -150,6 +146,8 @@ class HaManager {
   uint64_t replayed_tuples_ = 0;
   int failures_detected_ = 0;
   int recoveries_ = 0;
+  /// Guards the timers and the protocol messages in flight.
+  Liveness liveness_;
 };
 
 }  // namespace aurora

@@ -45,12 +45,13 @@ Result<std::string> MedusaSystem::ParticipantOfNode(NodeId node) const {
 void MedusaSystem::Start() {
   if (started_) return;
   started_ = true;
-  star_->sim()->SchedulePeriodic(opts_.settle_interval, [this]() {
+  Simulation* sim = star_->sim();
+  sim->SchedulePeriodic(opts_.settle_interval, liveness_.Guard([this]() {
     SettleContracts();
     SettleMovementProcessing();
     RunOracles();
     return true;
-  });
+  }));
 }
 
 // ---------------------------------------------------------------------------

@@ -157,6 +157,8 @@ class MedusaSystem {
   double total_transferred_ = 0.0;
   int total_switches_ = 0;
   bool started_ = false;
+  /// Guards the settlement timer.
+  Liveness liveness_;
 };
 
 }  // namespace aurora

@@ -252,11 +252,10 @@ void Transport::ArmWake(SimTime when) {
   if (wake_armed_ && wake_at_ <= when) return;
   wake_armed_ = true;
   wake_at_ = when;
-  sim_->ScheduleAt(when, [this, when, alive = liveness_.token()]() {
-    if (alive.expired()) return;
+  sim_->ScheduleAt(when, liveness_.Guard([this, when]() {
     if (wake_at_ == when) wake_armed_ = false;
     MaybeDispatch();
-  });
+  }));
 }
 
 void Transport::SendCreditProbe(const std::string& stream, StreamState& st) {
@@ -270,11 +269,9 @@ void Transport::SendCreditProbe(const std::string& stream, StreamState& st) {
   m_flow_probes_->Add();
   Status sent = net_->Send(
       src_, dst_, std::move(probe),
-      [this, stream, alive = liveness_.token()](const Message& m) {
-        if (!alive.expired() && probe_handler_) {
-          probe_handler_(stream, m.flow_offset);
-        }
-      });
+      liveness_.Guard([this, stream](const Message& m) {
+        if (probe_handler_) probe_handler_(stream, m.flow_offset);
+      }));
   if (!sent.ok()) {
     AURORA_LOG(Warn) << "credit probe send failed: " << sent.ToString();
   }
@@ -399,9 +396,9 @@ void Transport::DispatchTrain(const std::string& stream, size_t k,
   in_flight_ = true;
   Status st_send = net_->Send(
       src_, dst_, std::move(frame),
-      [this, stream, alive = liveness_.token()](const Message& delivered) {
-        if (!alive.expired()) DeliverFrame(stream, delivered);
-      });
+      liveness_.Guard([this, stream](const Message& delivered) {
+        DeliverFrame(stream, delivered);
+      }));
   if (!st_send.ok()) {
     AURORA_LOG(Warn) << "transport send failed: " << st_send.ToString();
   }
@@ -412,12 +409,10 @@ void Transport::DispatchTrain(const std::string& stream, size_t k,
     // No direct link (multi-hop path): approximate with next event slot.
     free_at = sim_->Now() + SimDuration::Micros(1);
   }
-  sim_->ScheduleAt(std::max(free_at, sim_->Now()),
-                   [this, alive = liveness_.token()]() {
-                     if (alive.expired()) return;
-                     in_flight_ = false;
-                     MaybeDispatch();
-                   });
+  sim_->ScheduleAt(std::max(free_at, sim_->Now()), liveness_.Guard([this]() {
+    in_flight_ = false;
+    MaybeDispatch();
+  }));
 }
 
 void Transport::DeliverFrame(const std::string& stream, const Message& frame) {

@@ -245,8 +245,7 @@ class Transport {
   LatencyHistogram* m_train_msgs_;
   LatencyHistogram* m_train_tuples_;
   /// Guards every event and network callback this transport schedules
-  /// (wakes, link-free events, frame and probe deliveries): once the
-  /// transport is destroyed they do nothing.
+  /// (wakes, link-free events, frame and probe deliveries).
   Liveness liveness_;
 };
 

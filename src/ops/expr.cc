@@ -197,7 +197,13 @@ void Expr::Encode(Encoder* enc) const {
   }
 }
 
-Result<Expr> Expr::Decode(Decoder* dec) {
+Result<Expr> Expr::Decode(Decoder* dec) { return DecodeAt(dec, 0); }
+
+Result<Expr> Expr::DecodeAt(Decoder* dec, int depth) {
+  if (depth > kMaxDecodeDepth) {
+    return Status::InvalidArgument("expr nested deeper than " +
+                                   std::to_string(kMaxDecodeDepth));
+  }
   AURORA_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
   switch (static_cast<Kind>(tag)) {
     case Kind::kField: {
@@ -213,8 +219,8 @@ Result<Expr> Expr::Decode(Decoder* dec) {
       if (op > static_cast<uint8_t>(ArithOp::kDiv)) {
         return Status::InvalidArgument("bad arith op tag");
       }
-      AURORA_ASSIGN_OR_RETURN(Expr lhs, Decode(dec));
-      AURORA_ASSIGN_OR_RETURN(Expr rhs, Decode(dec));
+      AURORA_ASSIGN_OR_RETURN(Expr lhs, DecodeAt(dec, depth + 1));
+      AURORA_ASSIGN_OR_RETURN(Expr rhs, DecodeAt(dec, depth + 1));
       return Arith(static_cast<ArithOp>(op), std::move(lhs), std::move(rhs));
     }
   }

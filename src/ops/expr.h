@@ -56,10 +56,13 @@ class Expr {
 
   std::string ToString() const;
   void Encode(Encoder* enc) const;
+  /// Fails with InvalidArgument past kMaxDecodeDepth nested levels.
   static Result<Expr> Decode(Decoder* dec);
 
  private:
   enum class Kind : uint8_t { kField = 0, kConst, kArith };
+
+  static Result<Expr> DecodeAt(Decoder* dec, int depth);
 
   Expr() = default;
 

@@ -348,7 +348,13 @@ void Predicate::Encode(Encoder* enc) const {
   }
 }
 
-Result<Predicate> Predicate::Decode(Decoder* dec) {
+Result<Predicate> Predicate::Decode(Decoder* dec) { return DecodeAt(dec, 0); }
+
+Result<Predicate> Predicate::DecodeAt(Decoder* dec, int depth) {
+  if (depth > kMaxDecodeDepth) {
+    return Status::InvalidArgument("predicate nested deeper than " +
+                                   std::to_string(kMaxDecodeDepth));
+  }
   AURORA_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
   switch (static_cast<Kind>(tag)) {
     case Kind::kTrue:
@@ -364,17 +370,17 @@ Result<Predicate> Predicate::Decode(Decoder* dec) {
                      std::move(constant));
     }
     case Kind::kAnd: {
-      AURORA_ASSIGN_OR_RETURN(Predicate a, Decode(dec));
-      AURORA_ASSIGN_OR_RETURN(Predicate b, Decode(dec));
+      AURORA_ASSIGN_OR_RETURN(Predicate a, DecodeAt(dec, depth + 1));
+      AURORA_ASSIGN_OR_RETURN(Predicate b, DecodeAt(dec, depth + 1));
       return And(std::move(a), std::move(b));
     }
     case Kind::kOr: {
-      AURORA_ASSIGN_OR_RETURN(Predicate a, Decode(dec));
-      AURORA_ASSIGN_OR_RETURN(Predicate b, Decode(dec));
+      AURORA_ASSIGN_OR_RETURN(Predicate a, DecodeAt(dec, depth + 1));
+      AURORA_ASSIGN_OR_RETURN(Predicate b, DecodeAt(dec, depth + 1));
       return Or(std::move(a), std::move(b));
     }
     case Kind::kNot: {
-      AURORA_ASSIGN_OR_RETURN(Predicate a, Decode(dec));
+      AURORA_ASSIGN_OR_RETURN(Predicate a, DecodeAt(dec, depth + 1));
       return Not(std::move(a));
     }
     case Kind::kHash: {

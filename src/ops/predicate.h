@@ -70,12 +70,15 @@ class Predicate {
   std::string ToString() const;
 
   void Encode(Encoder* enc) const;
+  /// Fails with InvalidArgument past kMaxDecodeDepth nested levels.
   static Result<Predicate> Decode(Decoder* dec);
 
   bool is_true() const { return kind_ == Kind::kTrue; }
 
  private:
   enum class Kind : uint8_t { kTrue = 0, kCompare, kAnd, kOr, kNot, kHash };
+
+  static Result<Predicate> DecodeAt(Decoder* dec, int depth);
 
   Predicate() = default;
 

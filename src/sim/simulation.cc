@@ -17,16 +17,6 @@ void Simulation::SchedulePeriodic(SimDuration interval,
   });
 }
 
-PeriodicTimer Simulation::SchedulePeriodicCancelable(SimDuration interval,
-                                                     std::function<bool()> fn) {
-  auto alive = std::make_shared<bool>(true);
-  SchedulePeriodic(interval, [alive, fn = std::move(fn)]() {
-    if (!*alive) return false;
-    return fn();
-  });
-  return PeriodicTimer(alive);
-}
-
 bool Simulation::RunOne() {
   if (queue_.empty()) return false;
   // std::priority_queue::top is const; move out via const_cast, standard

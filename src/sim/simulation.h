@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -12,55 +13,36 @@
 
 namespace aurora {
 
-/// \brief RAII cancellation handle for a periodic schedule.
+/// \brief Scopes callbacks to the lifetime of the object they point at.
 ///
-/// Returned by Simulation::SchedulePeriodicCancelable; destroying (or
-/// Cancel()-ing) the handle stops future firings. Subsystems with a shorter
-/// lifetime than the simulation (HA managers, fault injectors) hold one per
-/// timer so their periodic callbacks can never run after destruction.
-class PeriodicTimer {
- public:
-  PeriodicTimer() = default;
-  explicit PeriodicTimer(std::shared_ptr<bool> alive)
-      : alive_(std::move(alive)) {}
-  PeriodicTimer(PeriodicTimer&&) = default;
-  PeriodicTimer& operator=(PeriodicTimer&& other) {
-    Cancel();
-    alive_ = std::move(other.alive_);
-    return *this;
-  }
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-  ~PeriodicTimer() { Cancel(); }
-
-  /// Stops future firings (idempotent). The already-queued next event still
-  /// runs but becomes a no-op and does not reschedule.
-  void Cancel() {
-    if (alive_) {
-      *alive_ = false;
-      alive_.reset();
-    }
-  }
-  bool active() const { return alive_ != nullptr && *alive_; }
-
- private:
-  std::shared_ptr<bool> alive_;
-};
-
-/// \brief Tells one-shot events whether their owner still exists.
-///
-/// An object whose scheduled events or network callbacks capture `this`
-/// holds one as a member; each such callback also captures token() and
-/// does nothing once the token has expired, i.e. once the owner is
-/// destroyed. Neither copyable nor movable: the events are bound to this
-/// object's address.
+/// The one lifetime rule for simulated callbacks: an object whose kernel
+/// events, overlay deliveries or stored handlers capture `this` (or a
+/// pointer to itself) holds a Liveness member and wraps each such callback
+/// in Guard(). The wrapped callback runs only while its owner exists; once
+/// the owner is destroyed it does nothing and returns a default value
+/// (false for a SchedulePeriodic callback, which stops that timer). Events
+/// whose owner died still fire, so event order and counts never depend on
+/// lifetimes. Guarded callbacks run from the event loop, never inside the
+/// owner's destructor, so the member may sit anywhere in the class. Neither
+/// copyable nor movable: callbacks are bound to the owner's address.
 class Liveness {
  public:
   Liveness() = default;
   Liveness(const Liveness&) = delete;
   Liveness& operator=(const Liveness&) = delete;
 
-  std::weak_ptr<const bool> token() const { return alive_; }
+  /// Returns a callable with `fn`'s signature that runs `fn` while this
+  /// object exists and returns a value-initialized result afterwards. It
+  /// holds `fn`'s captures plus one weak reference.
+  template <typename Fn>
+  auto Guard(Fn fn) const {
+    return [alive = std::weak_ptr<const bool>(alive_),
+            fn = std::move(fn)](auto&&... args) mutable {
+      using R = std::invoke_result_t<Fn&, decltype(args)...>;
+      if (alive.expired()) return R();
+      return fn(std::forward<decltype(args)>(args)...);
+    };
+  }
 
  private:
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
@@ -87,13 +69,9 @@ class Simulation {
   void ScheduleAt(SimTime when, std::function<void()> fn);
 
   /// Schedules `fn` every `interval`, starting one interval from now, until
-  /// it returns false.
+  /// it returns false. A timer whose owner may die before the simulation
+  /// passes `owner.Guard(fn)`, which returns false once the owner is gone.
   void SchedulePeriodic(SimDuration interval, std::function<bool()> fn);
-
-  /// Like SchedulePeriodic, but the returned handle cancels the timer when
-  /// destroyed — use when the callback's owner may die before the sim.
-  [[nodiscard]] PeriodicTimer SchedulePeriodicCancelable(
-      SimDuration interval, std::function<bool()> fn);
 
   /// Runs the earliest pending event. Returns false when none remain.
   bool RunOne();

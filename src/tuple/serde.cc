@@ -1,5 +1,6 @@
 #include "tuple/serde.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace aurora {
@@ -211,7 +212,9 @@ Status DeserializeTuplesInto(const std::vector<uint8_t>& buf,
   out->clear();
   Decoder dec(buf);
   AURORA_ASSIGN_OR_RETURN(uint32_t count, dec.GetU32());
-  out->reserve(count);
+  // Every encoded tuple takes at least one byte, so no honest count exceeds
+  // the bytes left; a hostile one must not size the allocation.
+  out->reserve(std::min<size_t>(count, dec.remaining()));
   for (uint32_t i = 0; i < count; ++i) {
     AURORA_ASSIGN_OR_RETURN(Tuple t, dec.GetTuple(schema));
     out->push_back(std::move(t));

@@ -46,6 +46,11 @@ class Encoder {
   std::vector<uint8_t> buf_;
 };
 
+/// Deepest nesting the recursive decoders (Expr, Predicate) accept, so
+/// hostile bytes cannot recurse the stack away. The system's own
+/// expressions nest a few levels at most.
+inline constexpr int kMaxDecodeDepth = 64;
+
 /// \brief Bounds-checked decoder over a byte buffer.
 ///
 /// Every accessor returns Result so that a corrupted or truncated message is

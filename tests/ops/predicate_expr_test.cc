@@ -95,6 +95,28 @@ TEST(PredicateTest, DecodeRejectsZeroModulus) {
   EXPECT_TRUE(Predicate::Decode(&dec).status().IsInvalidArgument());
 }
 
+// Decoding recurses once per nesting level, so the depth is capped:
+// kMaxDecodeDepth levels decode, one more is rejected, and 2 MB of nested
+// kNot tags return a Status instead of overflowing the stack.
+TEST(PredicateTest, DecodeRejectsNestingPastLimit) {
+  Predicate p = Predicate::True();
+  for (int i = 0; i < kMaxDecodeDepth; ++i) p = Predicate::Not(p);
+  Encoder enc;
+  p.Encode(&enc);
+  Decoder at_limit(enc.buffer());
+  ASSERT_OK_AND_ASSIGN(Predicate got, Predicate::Decode(&at_limit));
+  EXPECT_EQ(got.ToString(), p.ToString());
+
+  Encoder deeper;
+  Predicate::Not(p).Encode(&deeper);
+  Decoder past_limit(deeper.buffer());
+  EXPECT_TRUE(Predicate::Decode(&past_limit).status().IsInvalidArgument());
+
+  std::vector<uint8_t> hostile(2 << 20, 4);  // kNot, kNot, ...
+  Decoder dec(hostile);
+  EXPECT_TRUE(Predicate::Decode(&dec).status().IsInvalidArgument());
+}
+
 TEST(ExprTest, FieldAndConstant) {
   ASSERT_OK_AND_ASSIGN(Value v, Expr::FieldRef("B").Eval(T(1, 7)));
   EXPECT_EQ(v.AsInt(), 7);
@@ -133,6 +155,33 @@ TEST(ExprTest, WireRoundTrip) {
   ASSERT_OK_AND_ASSIGN(Expr got, Expr::Decode(&dec));
   ASSERT_OK_AND_ASSIGN(Value v, got.Eval(T(4, 0)));
   EXPECT_DOUBLE_EQ(v.AsDouble(), 2.5);
+}
+
+// The kArith twin of PredicateTest.DecodeRejectsNestingPastLimit.
+TEST(ExprTest, DecodeRejectsNestingPastLimit) {
+  Expr e = Expr::FieldRef("A");
+  for (int i = 0; i < kMaxDecodeDepth; ++i) {
+    e = Expr::Arith(ArithOp::kAdd, e, Expr::Constant(Value(1)));
+  }
+  Encoder enc;
+  e.Encode(&enc);
+  Decoder at_limit(enc.buffer());
+  ASSERT_OK_AND_ASSIGN(Expr got, Expr::Decode(&at_limit));
+  ASSERT_OK_AND_ASSIGN(Value v, got.Eval(T(1, 0)));
+  EXPECT_EQ(v.AsInt(), 1 + kMaxDecodeDepth);
+
+  Encoder deeper;
+  Expr::Arith(ArithOp::kAdd, e, Expr::Constant(Value(1))).Encode(&deeper);
+  Decoder past_limit(deeper.buffer());
+  EXPECT_TRUE(Expr::Decode(&past_limit).status().IsInvalidArgument());
+
+  std::vector<uint8_t> hostile;
+  for (int i = 0; i < (1 << 20); ++i) {
+    hostile.push_back(2);  // kArith
+    hostile.push_back(0);  // kAdd
+  }
+  Decoder dec(hostile);
+  EXPECT_TRUE(Expr::Decode(&dec).status().IsInvalidArgument());
 }
 
 TEST(OpSpecTest, WireRoundTripCarriesEverything) {

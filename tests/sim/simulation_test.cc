@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 namespace aurora {
 namespace {
 
@@ -56,6 +59,67 @@ TEST(SimulationTest, PeriodicRunsUntilFalse) {
   sim.RunAll();
   EXPECT_EQ(ticks, 4);
   EXPECT_EQ(sim.Now(), SimTime::Millis(20));
+}
+
+// An event guarded by an owner that dies before it fires still leaves the
+// queue and is counted, but does nothing.
+TEST(LivenessTest, GuardedEventOfDestroyedOwnerIsCountedButInert) {
+  Simulation sim;
+  int fired = 0;
+  auto owner = std::make_unique<Liveness>();
+  sim.Schedule(SimDuration::Millis(1), owner->Guard([&]() { fired++; }));
+  sim.Schedule(SimDuration::Millis(2), owner->Guard([&]() { fired++; }));
+  sim.RunOne();
+  EXPECT_EQ(fired, 1);
+  owner.reset();
+  sim.RunAll();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// A guarded periodic callback returns false once its owner is gone, which
+// stops the timer: nothing re-arms and the tick count freezes.
+TEST(LivenessTest, GuardedPeriodicStopsWhenOwnerDies) {
+  Simulation sim;
+  int ticks = 0;
+  auto owner = std::make_unique<Liveness>();
+  sim.SchedulePeriodic(SimDuration::Millis(5), owner->Guard([&]() {
+    ++ticks;
+    return true;
+  }));
+  sim.RunUntil(SimTime::Millis(12));
+  EXPECT_EQ(ticks, 2);
+  EXPECT_EQ(sim.pending(), 1u);
+  owner.reset();
+  sim.RunUntil(SimTime::Millis(100));
+  EXPECT_EQ(ticks, 2);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 3u);  // the last armed tick still pops
+}
+
+// Guard keeps the callback's signature: arguments pass through while the
+// owner lives; afterwards a value-returning callback yields a
+// value-initialized result and a void one does nothing.
+TEST(LivenessTest, GuardPassesArgumentsThroughWhileOwnerLives) {
+  auto owner = std::make_unique<Liveness>();
+  std::string seen;
+  std::function<bool(const std::string&, int)> check =
+      owner->Guard([&](const std::string& s, int n) {
+        seen = s;
+        return n > 0;
+      });
+  std::function<void(const std::string&)> record =
+      owner->Guard([&](const std::string& s) { seen += s; });
+  EXPECT_TRUE(check("x", 1));
+  EXPECT_FALSE(check("y", 0));
+  EXPECT_EQ(seen, "y");
+  record("z");
+  EXPECT_EQ(seen, "yz");
+  owner.reset();
+  EXPECT_FALSE(check("w", 1));
+  record("w");
+  EXPECT_EQ(seen, "yz");
 }
 
 TEST(SimTimeTest, ArithmeticAndConversions) {

@@ -95,6 +95,26 @@ TEST(SerdeTest, TrailingGarbageIsError) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
+// The batch count comes off the wire: a hostile count (ff ff ff 7f claims
+// 2^31 - 1 tuples, 64 GiB of handles) must not size the allocation, and the
+// decode still fails at the first missing tuple.
+TEST(SerdeTest, HostileCountDoesNotSizeTheAllocation) {
+  std::vector<uint8_t> bytes = {0xff, 0xff, 0xff, 0x7f};
+  std::vector<Tuple> out;
+  Status st = DeserializeTuplesInto(bytes, SchemaAB(), &out);
+  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.capacity(), 0u);
+
+  // A real batch whose count claims far more tuples than follow.
+  bytes = SerializeTuples(PaperFigure2Stream());
+  bytes[0] = bytes[1] = bytes[2] = 0xff;
+  bytes[3] = 0x7f;
+  st = DeserializeTuplesInto(bytes, SchemaAB(), &out);
+  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  EXPECT_LE(out.capacity(), bytes.size());
+}
+
 TEST(SerdeTest, BadValueTagIsError) {
   Encoder enc;
   enc.PutU8(200);  // not a ValueType
