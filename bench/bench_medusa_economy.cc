@@ -17,7 +17,7 @@ void BM_EconomyAnneals(benchmark::State& state) {
   const bool movement_contracts = state.range(0) != 0;
   for (auto _ : state) {
     Cluster cluster(4);
-    MedusaSystem medusa(cluster.system.get(), MedusaOptions{});
+    MedusaSystem medusa(cluster.system.get());
     std::vector<Participant*> participants;
     for (int p = 0; p < 4; ++p) {
       auto added = medusa.AddParticipant("p" + std::to_string(p),

@@ -19,7 +19,7 @@ void BM_RemoteDefinition(benchmark::State& state) {
   const int match_pct = static_cast<int>(state.range(1));
   for (auto _ : state) {
     Cluster cluster(2);
-    MedusaSystem medusa(cluster.system.get(), MedusaOptions{});
+    MedusaSystem medusa(cluster.system.get());
     auto seller = medusa.AddParticipant("quotes-inc", {0}, 1000, 0.0001);
     auto buyer = medusa.AddParticipant("trader", {1}, 1000, 0.0001);
     AURORA_CHECK(seller.ok() && buyer.ok());

@@ -19,7 +19,7 @@ int main() {
   NodeId analytics = *star.AddNode(NodeOptions{"analytics", 1.0, {}});
   net.FullMesh(LinkOptions{});
 
-  MedusaSystem medusa(&star, MedusaOptions{});
+  MedusaSystem medusa(&star);
   Participant* sensornet =
       *medusa.AddParticipant("sensornet", {sensor_proxy}, 1000.0, 0.0001);
   Participant* weatherco =

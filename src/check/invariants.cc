@@ -90,12 +90,10 @@ void InvariantMonitor::PeriodicCheck() {
     // Streams per peer, from the sender's bindings.
     std::map<NodeId, size_t> streams_to;
     for (const auto& [name, binding] : node.bindings()) {
-      if (binding.dst != nullptr) ++streams_to[binding.dst->id()];
+      ++streams_to[binding.dst->id()];
     }
     for (const auto& [name, binding] : node.bindings()) {
-      if (binding.dst == nullptr) continue;
-      const Transport* tx = node.PeerTransport(binding.dst->id());
-      if (tx == nullptr) continue;
+      const Transport* tx = binding.transport;
       size_t allowance = QueueAllowance(streams_to[binding.dst->id()]);
       if (tx->queued_payload_bytes() > allowance) {
         Report("queue_bound",
@@ -211,7 +209,6 @@ void InvariantMonitor::Finalize(bool drained) {
     dup_dropped_total += node.duplicate_tuples_dropped();
     for (const auto& [name, binding] : node.bindings()) {
       sent_total += binding.tuples_sent;
-      if (binding.dst == nullptr) continue;
       auto it = streams_.find({binding.dst->id(), binding.stream});
       uint64_t arrived = it == streams_.end() ? 0 : it->second.delivered;
       std::string where = "stream '" + binding.stream + "' (node " +
@@ -227,13 +224,13 @@ void InvariantMonitor::Finalize(bool drained) {
                    " tuples, more than the " +
                    std::to_string(binding.tuples_sent) + " sent");
       }
-      const Transport* tx = node.PeerTransport(binding.dst->id());
-      if (spec_.flow_window > 0 && tx != nullptr) {
+      if (spec_.flow_window > 0) {
         std::map<NodeId, size_t> streams_to;
         for (const auto& [n2, b2] : node.bindings()) {
-          if (b2.dst != nullptr) ++streams_to[b2.dst->id()];
+          ++streams_to[b2.dst->id()];
         }
         size_t allowance = QueueAllowance(streams_to[binding.dst->id()]);
+        const Transport* tx = binding.transport;
         if (tx->peak_queued_payload_bytes() > allowance) {
           Report("queue_bound",
                  where + " peak queued payload " +

@@ -11,28 +11,10 @@ namespace aurora {
 
 namespace {
 
-std::string CanonicalRow(const Tuple& t) {
-  std::string row;
-  for (size_t i = 0; i < t.num_values(); ++i) {
-    if (i > 0) row += "|";
-    row += t.value(i).ToString();
-  }
-  return row;
-}
-
-/// FNV-1a over all rows; keeps Summary() short yet content-sensitive.
-uint64_t HashRows(const std::vector<std::string>& rows) {
-  uint64_t h = 1469598103934665603ull;
-  for (const std::string& row : rows) {
-    for (char c : row) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= '\n';
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// How long past the trace end a healthy run may take to quiesce, and the
+/// idle-detection granularity while draining.
+constexpr SimDuration kDrainTimeout = SimDuration::Seconds(30);
+constexpr SimDuration kDrainSlice = SimDuration::Millis(100);
 
 /// Is `sub` a subsequence of `full` (order-preserving containment)?
 bool IsSubsequence(const std::vector<std::string>& sub,
@@ -54,22 +36,11 @@ void DiffOutputs(const ScenarioSpec& spec, RunReport* report) {
   for (const auto& [name, oracle_rows] : report->oracle_outputs) {
     const std::vector<std::string>& got = report->outputs[name];
     if (!spec.Lossy()) {
-      if (got == oracle_rows) continue;
-      size_t at = 0;
-      while (at < got.size() && at < oracle_rows.size() &&
-             got[at] == oracle_rows[at]) {
-        ++at;
+      std::string diff = ExactDiff(name, "distributed", got, oracle_rows);
+      if (!diff.empty()) {
+        report->violations.push_back(
+            Violation{SimTime{}, "oracle_diff", std::move(diff)});
       }
-      std::ostringstream detail;
-      detail << "output '" << name << "': distributed " << got.size()
-             << " rows vs oracle " << oracle_rows.size()
-             << ", first divergence at row " << at;
-      if (at < got.size()) detail << " (got '" << got[at] << "')";
-      if (at < oracle_rows.size()) {
-        detail << " (oracle '" << oracle_rows[at] << "')";
-      }
-      report->violations.push_back(
-          Violation{SimTime{}, "oracle_diff", detail.str()});
     } else if (!IsSubsequence(got, oracle_rows)) {
       report->violations.push_back(Violation{
           SimTime{}, "oracle_diff",
@@ -87,20 +58,8 @@ std::string RunReport::Summary() const {
      << " rejected=" << rejected << " delivered=" << delivered
      << " duplicates=" << duplicates << " drained=" << (drained ? "yes" : "no")
      << (diff_skipped ? " diff=skipped" : "") << "\n";
-  for (const auto& [name, rows] : outputs) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(HashRows(rows)));
-    os << "output " << name << " rows=" << rows.size() << " hash=" << hex
-       << "\n";
-  }
-  for (const auto& [name, rows] : oracle_outputs) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(HashRows(rows)));
-    os << "oracle " << name << " rows=" << rows.size() << " hash=" << hex
-       << "\n";
-  }
+  WriteOutputLines(os, "output", outputs);
+  WriteOutputLines(os, "oracle", oracle_outputs);
   os << "violations=" << violations.size() << "\n";
   for (const Violation& v : violations) {
     os << "violation " << v.invariant << " at " << v.at.micros()
@@ -202,7 +161,7 @@ RunReport RunScenario(const ScenarioSpec& spec, const RunOptions& opts) {
   if (spec.faults.EndsHealthy()) {
     int stable = 0;
     report.drained = sim.RunUntilIdle(
-        end + opts.drain_timeout, opts.drain_slice, [&] {
+        end + kDrainTimeout, kDrainSlice, [&] {
           if (!monitor.Quiescent() ||
               (system.num_nodes() > 1 && !monitor.Converged())) {
             stable = 0;
@@ -224,52 +183,25 @@ RunReport RunScenario(const ScenarioSpec& spec, const RunOptions& opts) {
   report.delivered = monitor.delivered_tuples();
   report.duplicates = monitor.duplicate_tuples();
 
-  if (opts.oracle_diff) {
-    // The oracle is always scalar: with batch_size > 1 on the federation
-    // side this diff doubles as the batched-vs-scalar equivalence gate.
-    EngineOptions oracle_opts = sopts.engine;
-    oracle_opts.batch_size = 1;
-    AuroraEngine oracle(oracle_opts);
-    Status st = DeployQueryLocal(&oracle, *query);
-    if (!st.ok()) {
-      report.violations.push_back(
-          Violation{SimTime{}, "deploy", "oracle: " + st.ToString()});
-      return report;
-    }
-    for (const auto& [name, where] : deployed->outputs) {
-      auto port = oracle.FindOutput(name);
-      if (!port.ok()) {
-        report.violations.push_back(Violation{
-            SimTime{}, "deploy", "oracle: " + port.status().ToString()});
-        return report;
-      }
-      std::string out_name = name;
-      oracle.SetOutputCallback(*port, [&report, out_name](const Tuple& t,
-                                                          SimTime) {
-        report.oracle_outputs[out_name].push_back(CanonicalRow(t));
-      });
-      // Ensure both maps list every output even when it emitted nothing.
-      report.outputs[name];
-      report.oracle_outputs[name];
-    }
-    SimTime now{};
-    for (size_t i = 0; i < trace.size(); ++i) {
-      if (!accepted[i]) continue;
-      now = trace[i].timestamp();
-      Status push = oracle.PushInputByName("src", trace[i], now);
-      if (!push.ok()) {
-        report.violations.push_back(Violation{
-            SimTime{}, "deploy", "oracle push: " + push.ToString()});
-        return report;
-      }
-    }
-    if (Status run = oracle.RunUntilQuiescent(now); !run.ok()) {
-      report.violations.push_back(
-          Violation{SimTime{}, "deploy", "oracle run: " + run.ToString()});
-      return report;
-    }
-    DiffOutputs(spec, &report);
+  // The oracle is always scalar: with batch_size > 1 on the federation side
+  // this diff doubles as the batched-vs-scalar equivalence gate.
+  std::vector<Tuple> accepted_trace;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (accepted[i]) accepted_trace.push_back(trace[i]);
   }
+  OracleRun oracle = RunOracle(*query, accepted_trace);
+  // Both maps list every output, even one that emitted nothing.
+  for (const auto& [name, rows] : oracle.rows) report.outputs[name];
+  report.oracle_outputs = std::move(oracle.rows);
+  if (!oracle.status.ok()) {
+    const std::string label = oracle.failed_step == "deploy"
+                                  ? "oracle: "
+                                  : "oracle " + oracle.failed_step + ": ";
+    report.violations.push_back(Violation{
+        SimTime{}, "deploy", label + oracle.status.ToString()});
+    return report;
+  }
+  DiffOutputs(spec, &report);
   return report;
 }
 

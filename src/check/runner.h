@@ -7,17 +7,12 @@
 #include <vector>
 
 #include "check/invariants.h"
+#include "check/oracle.h"
 #include "check/scenario.h"
 
 namespace aurora {
 
 struct RunOptions {
-  /// Run the single-node oracle and diff outputs against it.
-  bool oracle_diff = true;
-  /// How long past the trace end a healthy run may take to quiesce.
-  SimDuration drain_timeout = SimDuration::Seconds(30);
-  /// Idle-detection granularity while draining.
-  SimDuration drain_slice = SimDuration::Millis(100);
   /// Engine batch_size for every federation node (the ProcessBatch path;
   /// see EngineOptions::batch_size). The oracle always runs scalar
   /// (batch_size 1), so with >1 this diffs the batched path against the
@@ -38,10 +33,9 @@ struct RunReport {
   /// documented nondeterminism, outputs are not comparable).
   bool diff_skipped = false;
   std::vector<Violation> violations;
-  /// Output name -> canonical rows ('|'-joined field values, in emission
-  /// order) from the distributed run and the oracle.
-  std::map<std::string, std::vector<std::string>> outputs;
-  std::map<std::string, std::vector<std::string>> oracle_outputs;
+  /// Canonical rows per output from the distributed run and the oracle.
+  OutputRows outputs;
+  OutputRows oracle_outputs;
 
   bool ok() const { return violations.empty(); }
   std::string Summary() const;
@@ -49,8 +43,9 @@ struct RunReport {
 
 /// Executes the scenario end to end: deploys its query over a simulated
 /// Aurora* federation, injects the trace under the fault plan with the
-/// invariant monitor attached, drains, then replays the accepted input
-/// through a single-node oracle engine and diffs the outputs.
+/// invariant monitor attached, drains (for up to 30 simulated seconds past
+/// the trace end), then replays the accepted input through the single-node
+/// oracle (RunOracle) and diffs the outputs.
 RunReport RunScenario(const ScenarioSpec& spec, const RunOptions& opts = {});
 
 }  // namespace aurora

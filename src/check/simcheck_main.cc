@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     if (digest) {
       // Per-seed output rows+hashes on stdout: two invocations of the same
       // seed range must emit byte-identical digests regardless of tracing
-      // or flight-recorder settings (the CI obs-smoke step diffs them).
+      // or flight-recorder settings (the CI gates job diffs them).
       std::fprintf(stdout, "seed %llu\n", static_cast<unsigned long long>(s));
       std::fputs(report.Summary().c_str(), stdout);
     }

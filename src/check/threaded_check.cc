@@ -1,42 +1,12 @@
 #include "check/threaded_check.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "distributed/deployment.h"
-#include "engine/aurora_engine.h"
 #include "engine/threaded_engine.h"
 #include "obs/metrics.h"
 
 namespace aurora {
-
-namespace {
-
-std::string CanonicalRow(const Tuple& t) {
-  std::string row;
-  for (size_t i = 0; i < t.num_values(); ++i) {
-    if (i > 0) row += "|";
-    row += t.value(i).ToString();
-  }
-  return row;
-}
-
-/// FNV-1a over all rows, as runner.cc's RunReport digest — makes the
-/// `output` lines content-sensitive, not just count-sensitive.
-uint64_t HashRows(const std::vector<std::string>& rows) {
-  uint64_t h = 1469598103934665603ull;
-  for (const std::string& row : rows) {
-    for (char c : row) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= '\n';
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string ThreadedCheckReport::Summary() const {
   // The `workers=` line carries scheduling-dependent stats (activations
@@ -47,13 +17,7 @@ std::string ThreadedCheckReport::Summary() const {
   os << "workers=" << workers << " injected=" << injected
      << " activations=" << activations << " steals=" << steals
      << " ring_full=" << ring_full_events << "\n";
-  for (const auto& [name, rows] : outputs) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(HashRows(rows)));
-    os << "output " << name << " rows=" << rows.size() << " hash=" << hex
-       << "\n";
-  }
+  WriteOutputLines(os, "output", outputs);
   os << "violations=" << violations.size() << "\n";
   for (const std::string& v : violations) {
     os << "violation " << v << "\n";
@@ -126,56 +90,22 @@ ThreadedCheckReport RunThreadedScenario(const ScenarioSpec& spec,
   }
 
   // Single-threaded oracle over the identical trace.
-  AuroraEngine oracle;
-  if (Status st = DeployQueryLocal(&oracle, *query); !st.ok()) {
-    report.violations.push_back("oracle deploy: " + st.ToString());
-    return report;
+  OracleRun oracle = RunOracle(*query, trace);
+  for (auto& [name, rows] : oracle.rows) {
+    report.oracle_outputs[name] = std::move(rows);
   }
-  for (const std::string& name : query->outputs()) {
-    auto port = oracle.FindOutput(name);
-    if (!port.ok()) {
-      report.violations.push_back("oracle deploy: " +
-                                  port.status().ToString());
-      return report;
-    }
-    std::string out_name = name;
-    oracle.SetOutputCallback(*port, [&report, out_name](const Tuple& t,
-                                                        SimTime) {
-      report.oracle_outputs[out_name].push_back(CanonicalRow(t));
-    });
-  }
-  SimTime now{};
-  for (const Tuple& t : trace) {
-    now = t.timestamp();
-    if (Status push = oracle.PushInputByName("src", t, now); !push.ok()) {
-      report.violations.push_back("oracle push: " + push.ToString());
-      return report;
-    }
-  }
-  if (Status run = oracle.RunUntilQuiescent(now); !run.ok()) {
-    report.violations.push_back("oracle run: " + run.ToString());
+  if (!oracle.status.ok()) {
+    report.violations.push_back("oracle " + oracle.failed_step + ": " +
+                                oracle.status.ToString());
     return report;
   }
 
   // Exact diff: scenario chains are linear, so the determinism contract
   // promises byte-identical row sequences per output.
   for (const auto& [name, oracle_rows] : report.oracle_outputs) {
-    const std::vector<std::string>& got = report.outputs[name];
-    if (got == oracle_rows) continue;
-    size_t at = 0;
-    while (at < got.size() && at < oracle_rows.size() &&
-           got[at] == oracle_rows[at]) {
-      ++at;
-    }
-    std::ostringstream detail;
-    detail << "output '" << name << "': threaded " << got.size()
-           << " rows vs oracle " << oracle_rows.size()
-           << ", first divergence at row " << at;
-    if (at < got.size()) detail << " (got '" << got[at] << "')";
-    if (at < oracle_rows.size()) {
-      detail << " (oracle '" << oracle_rows[at] << "')";
-    }
-    report.violations.push_back("oracle_diff: " + detail.str());
+    std::string diff =
+        ExactDiff(name, "threaded", report.outputs[name], oracle_rows);
+    if (!diff.empty()) report.violations.push_back("oracle_diff: " + diff);
   }
   return report;
 }

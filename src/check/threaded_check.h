@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "check/oracle.h"
 #include "check/scenario.h"
 
 namespace aurora {
@@ -21,10 +22,10 @@ struct ThreadedCheckReport {
   uint64_t steals = 0;
   uint64_t ring_full_events = 0;
   std::vector<std::string> violations;
-  /// Output name -> canonical rows ('|'-joined field values, in emission
-  /// order) from the threaded run and the single-threaded oracle.
-  std::map<std::string, std::vector<std::string>> outputs;
-  std::map<std::string, std::vector<std::string>> oracle_outputs;
+  /// Canonical rows per output from the threaded run and the
+  /// single-threaded oracle.
+  OutputRows outputs;
+  OutputRows oracle_outputs;
 
   bool ok() const { return violations.empty(); }
   std::string Summary() const;

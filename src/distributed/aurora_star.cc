@@ -18,8 +18,8 @@ Result<NodeId> AuroraStarSystem::AddNode(NodeOptions node_opts,
         "overlay and star node ids diverged; add all nodes through "
         "AuroraStarSystem");
   }
-  nodes_.push_back(std::make_unique<StreamNode>(
-      sim_, net_, id, engine_opts, opts_.transport, opts_.tick_interval));
+  nodes_.push_back(std::make_unique<StreamNode>(sim_, net_, id, engine_opts,
+                                                opts_.transport));
   nodes_.back()->Start();
   return id;
 }
@@ -43,8 +43,7 @@ std::vector<std::pair<NodeId, std::string>> AuroraStarSystem::BindingsInto(
   std::vector<std::pair<NodeId, std::string>> refs;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     for (const auto& [output_name, binding] : nodes_[i]->bindings()) {
-      if (binding.dst != nullptr && binding.dst->id() == dst &&
-          binding.remote_input == remote_input) {
+      if (binding.dst->id() == dst && binding.remote_input == remote_input) {
         refs.emplace_back(static_cast<NodeId>(i), output_name);
       }
     }

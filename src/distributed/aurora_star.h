@@ -14,7 +14,6 @@ namespace aurora {
 struct StarOptions {
   EngineOptions engine;
   TransportOptions transport;
-  SimDuration tick_interval = SimDuration::Millis(10);
 };
 
 /// \brief Aurora*: multiple single-node Aurora servers in one

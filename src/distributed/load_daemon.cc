@@ -6,6 +6,15 @@
 
 namespace aurora {
 
+namespace {
+/// Utilization above which a node tries to offload.
+constexpr double kHighWater = 0.85;
+/// Peers below this utilization will accept load.
+constexpr double kLowWater = 0.6;
+/// Fraction of link bandwidth a moved arc may consume.
+constexpr double kBandwidthHeadroom = 0.8;
+}  // namespace
+
 void LoadShareDaemon::Start() {
   last_round_ = system_->sim()->Now();
   system_->sim()->SchedulePeriodic(opts_.interval, liveness_.Guard([this]() {
@@ -51,7 +60,7 @@ bool LoadShareDaemon::BandwidthAllows(NodeId src, NodeId dst,
   if (!opts_.bandwidth_aware) return true;
   auto link = system_->net()->GetLinkOptions(src, dst);
   if (!link.ok()) return false;
-  return bytes_per_s <= link->bandwidth_bytes_per_sec * opts_.bandwidth_headroom;
+  return bytes_per_s <= link->bandwidth_bytes_per_sec * kBandwidthHeadroom;
 }
 
 int LoadShareDaemon::RunOnce() {
@@ -62,11 +71,11 @@ int LoadShareDaemon::RunOnce() {
   for (size_t i = 0; i < n; ++i) {
     NodeId src = static_cast<NodeId>(i);
     StreamNode& src_node = system_->node(src);
-    if (!src_node.up() || src_node.utilization() < opts_.high_water) continue;
+    if (!src_node.up() || src_node.utilization() < kHighWater) continue;
 
     // Pair-wise: find the least-loaded live peer below the low-water mark.
     NodeId target = -1;
-    double best_util = opts_.low_water;
+    double best_util = kLowWater;
     for (size_t j = 0; j < n; ++j) {
       if (j == i) continue;
       StreamNode& peer = system_->node(static_cast<NodeId>(j));

@@ -21,10 +21,6 @@ struct LoadDaemonOptions {
   /// daemon will run periodically in the background", §5.1). Too-frequent
   /// rebalancing causes instability (§5.2) — see cooldown below.
   SimDuration interval = SimDuration::Millis(250);
-  /// Utilization above which a node tries to offload.
-  double high_water = 0.85;
-  /// Peers below this utilization will accept load.
-  double low_water = 0.6;
   RepartitionAction action = RepartitionAction::kSlideOrSplit;
   /// A box is not moved again within this period — the paper's stability
   /// concern ("shifting boxes around too frequently could lead to
@@ -33,8 +29,6 @@ struct LoadDaemonOptions {
   /// Consider link bandwidth before moving a box (§5.2 "Choosing What to
   /// Offload": a neighbour may have cycles but not bandwidth).
   bool bandwidth_aware = true;
-  /// Fraction of link bandwidth a moved arc may consume.
-  double bandwidth_headroom = 0.8;
   /// Field used for hash-partition split predicates.
   std::string split_field;
 };

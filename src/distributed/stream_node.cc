@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -12,18 +13,18 @@ namespace aurora {
 
 namespace {
 constexpr double kUtilizationWindowS = 0.25;
+/// Period of the engine tick (WSort timeouts, credit re-grants, flushes).
+constexpr SimDuration kTickInterval = SimDuration::Millis(10);
 }  // namespace
 
 StreamNode::StreamNode(Simulation* sim, OverlayNetwork* net, NodeId id,
                        EngineOptions engine_opts,
-                       TransportOptions transport_opts,
-                       SimDuration tick_interval)
+                       TransportOptions transport_opts)
     : sim_(sim),
       net_(net),
       id_(id),
       engine_(engine_opts),
-      transport_opts_(transport_opts),
-      tick_interval_(tick_interval) {
+      transport_opts_(transport_opts) {
   engine_.set_trace_node(static_cast<int>(id));
   MetricsRegistry& reg = MetricsRegistry::Global();
   m_tuples_sent_ = reg.GetCounter("node.tuples_sent");
@@ -76,8 +77,8 @@ Status StreamNode::RecoverDurableState() {
     // numbers; the receiver's dedup watermark suppresses what it already
     // processed, so replay is idempotent.
     m_halog_replayed_->Add(replay.size());
-    Status st = TransportTo(binding.dst)
-                    ->Send(binding.stream, replay.data(), replay.size());
+    Status st =
+        binding.transport->Send(binding.stream, replay.data(), replay.size());
     if (!st.ok()) {
       AURORA_LOG(Error) << "node " << id_
                         << ": halog replay send failed: " << st.ToString();
@@ -91,7 +92,7 @@ void StreamNode::Start() {
   if (started_) return;
   started_ = true;
   window_start_ = sim_->Now();
-  sim_->SchedulePeriodic(tick_interval_, liveness_.Guard([this]() {
+  sim_->SchedulePeriodic(kTickInterval, liveness_.Guard([this]() {
     if (!up_) return true;  // keep the timer; skip while down
     engine_.Tick(sim_->Now());
     if (flow_enabled()) {
@@ -136,25 +137,39 @@ Status StreamNode::BindRemoteOutput(const std::string& output_name,
     return Status::AlreadyExists("output '" + output_name +
                                  "' already bound remotely");
   }
+  // Two bindings sharing a name would both number their tuples from 1 into
+  // one dedup watermark, which drops the second binding's as duplicates.
+  if (BindingForStream(stream_name) != nullptr ||
+      dst->incoming_.count(stream_name)) {
+    return Status::AlreadyExists("stream '" + stream_name +
+                                 "' is already bound");
+  }
   AURORA_ASSIGN_OR_RETURN(PortId port, engine_.FindOutput(output_name));
   // Destination input must exist (remote definition creates it first).
-  AURORA_RETURN_NOT_OK(dst->engine().FindInput(remote_input).status());
+  AURORA_ASSIGN_OR_RETURN(PortId input_port,
+                          dst->engine().FindInput(remote_input));
   Transport* transport = TransportTo(dst);
-  if (!transport->HasStream(stream_name)) {
-    AURORA_RETURN_NOT_OK(transport->RegisterStream(stream_name, weight));
-  }
+  AURORA_RETURN_NOT_OK(transport->RegisterStream(stream_name, weight));
   RemoteBinding binding;
   binding.output_port = port;
   binding.dst = dst;
+  binding.transport = transport;
   binding.remote_input = remote_input;
   binding.stream = stream_name;
   binding.weight = weight;
   binding.retain_log = retain_logs_;
-  dst->RegisterIncomingStream(stream_name, remote_input, this);
-  bindings_[output_name] = std::move(binding);
-  engine_.SetOutputCallback(port, [this, output_name](const Tuple& t, SimTime) {
-    auto it = bindings_.find(output_name);
-    if (it != bindings_.end()) it->second.pending.push_back(t);
+  dst->incoming_.emplace(
+      stream_name,
+      IncomingStream{
+          .input_port = input_port,
+          .src = this,
+          .granted_limit = dst->transport_opts_.credit_window_bytes});
+  // Map nodes do not move, and UnbindRemoteOutput clears the callback before
+  // it erases the binding.
+  RemoteBinding* bound =
+      &bindings_.emplace(output_name, std::move(binding)).first->second;
+  engine_.SetOutputCallback(port, [bound](const Tuple& t, SimTime) {
+    bound->pending.push_back(t);
   });
   return Status::OK();
 }
@@ -199,29 +214,21 @@ Status StreamNode::UnbindRemoteOutput(const std::string& output_name) {
   return Status::OK();
 }
 
-void StreamNode::OnRemoteStream(const std::string& stream,
-                                const std::vector<uint8_t>& payload) {
+void StreamNode::OnRemoteMessage(const std::string& stream,
+                                 const Message& msg) {
+  if (!up_) return;
   auto it = incoming_.find(stream);
   if (it == incoming_.end()) {
     AURORA_LOG(Warn) << "node " << id_ << ": tuples on unregistered stream '"
                      << stream << "'";
     return;
   }
-  DeliverTuples(it->second.input_name, &stream, payload);
-}
-
-void StreamNode::OnRemoteMessage(const std::string& stream,
-                                 const Message& msg) {
-  if (!up_) return;
-  auto it = incoming_.find(stream);
-  if (flow_enabled() && it != incoming_.end()) {
-    it->second.received_offset =
-        std::max(it->second.received_offset, msg.flow_offset);
+  IncomingStream& in = it->second;
+  if (flow_enabled()) {
+    in.received_offset = std::max(in.received_offset, msg.flow_offset);
   }
-  OnRemoteStream(stream, msg.payload);
-  if (flow_enabled() && it != incoming_.end()) {
-    MaybeGrantCredit(stream, it->second, /*force=*/false);
-  }
+  DeliverTuples(in.input_port, &*it, msg.payload);
+  if (flow_enabled()) MaybeGrantCredit(stream, in, /*force=*/false);
 }
 
 void StreamNode::OnFlowProbe(const std::string& stream, uint64_t sent_offset) {
@@ -238,12 +245,6 @@ void StreamNode::OnFlowProbe(const std::string& stream, uint64_t sent_offset) {
 
 void StreamNode::MaybeGrantCredit(const std::string& stream, IncomingStream& in,
                                   bool force) {
-  if (!flow_enabled() || in.src == nullptr) return;
-  if (in.input_port < 0) {
-    auto port = engine_.FindInput(in.input_name);
-    if (!port.ok()) return;
-    in.input_port = *port;
-  }
   // Free window = credit budget minus what is already queued locally: the
   // sender may have at most the window in flight beyond what we've seen.
   uint64_t window = transport_opts_.credit_window_bytes;
@@ -274,11 +275,8 @@ void StreamNode::MaybeGrantCredit(const std::string& stream, IncomingStream& in,
 
 void StreamNode::OnFlowGrant(const std::string& stream, uint64_t limit) {
   if (!up_ || !flow_enabled()) return;
-  for (auto& [name, binding] : bindings_) {
-    if (binding.stream != stream) continue;
-    auto it = transports_.find(binding.dst->id());
-    if (it != transports_.end()) it->second->GrantCredit(stream, limit);
-    break;
+  if (RemoteBinding* binding = MutableBindingForStream(stream)) {
+    binding->transport->GrantCredit(stream, limit);
   }
   UpdateFlowBlocked();
   FlushPending();
@@ -289,8 +287,7 @@ void StreamNode::UpdateFlowBlocked() {
   bool blocked = false;
   if (flow_enabled()) {
     for (const auto& [name, binding] : bindings_) {
-      auto it = transports_.find(binding.dst->id());
-      if (it != transports_.end() && it->second->StreamBlocked(binding.stream)) {
+      if (binding.transport->StreamBlocked(binding.stream)) {
         blocked = true;
         break;
       }
@@ -302,12 +299,6 @@ void StreamNode::UpdateFlowBlocked() {
 
 void StreamNode::OnRemoteTuples(const std::string& input_name,
                                 const std::vector<uint8_t>& payload) {
-  DeliverTuples(input_name, nullptr, payload);
-}
-
-void StreamNode::DeliverTuples(const std::string& input_name,
-                               const std::string* stream,
-                               const std::vector<uint8_t>& payload) {
   if (!up_) return;
   auto port = engine_.FindInput(input_name);
   if (!port.ok()) {
@@ -315,46 +306,47 @@ void StreamNode::DeliverTuples(const std::string& input_name,
                      << input_name << "'";
     return;
   }
-  SchemaPtr schema = engine_.input_schema(*port);
-  Status decoded = DeserializeTuplesInto(payload, schema, &decode_scratch_);
+  DeliverTuples(*port, nullptr, payload);
+}
+
+void StreamNode::DeliverTuples(PortId port, IncomingEntry* stream,
+                               const std::vector<uint8_t>& payload) {
+  Status decoded = DeserializeTuplesInto(payload, engine_.input_schema(port),
+                                         &decode_scratch_);
   if (!decoded.ok()) {
     AURORA_LOG(Error) << "node " << id_ << ": bad tuple batch: "
                       << decoded.ToString();
     return;
   }
-  std::vector<Tuple>* tuples = &decode_scratch_;
-  SeqNo& last = last_received_[input_name];
-  SeqNo* dedup = stream != nullptr && transport_opts_.stream_dedup
-                     ? &stream_dedup_watermark_[*stream]
-                     : nullptr;
   Tracer& tracer = Tracer::Global();
-  for (auto& t : *tuples) {
-    if (dedup != nullptr && t.seq() != kNoSeqNo) {
+  for (auto& t : decode_scratch_) {
+    if (stream != nullptr && t.seq() != kNoSeqNo) {
+      SeqNo& last = stream->second.last_seq;
       // Streams are FIFO per transport connection, so a sequence number at
       // or below the watermark is a duplicate (chaos duplication) or an
       // overtaken copy (chaos reorder) — suppressing it keeps delivery
       // at-most-once per stream.
-      if (t.seq() <= *dedup) {
+      if (transport_opts_.stream_dedup && t.seq() <= last) {
         dup_tuples_dropped_++;
         m_dup_dropped_->Add();
-        if (delivery_probe_) delivery_probe_(id_, *stream, t, true);
+        if (delivery_probe_) delivery_probe_(id_, stream->first, t, true);
         continue;
       }
-      *dedup = t.seq();
+      last = std::max(last, t.seq());
     }
     if (delivery_probe_ && stream != nullptr) {
-      delivery_probe_(id_, *stream, t, false);
+      delivery_probe_(id_, stream->first, t, false);
     }
-    if (t.seq() != kNoSeqNo && t.seq() > last) last = t.seq();
     if (tracer.enabled() && t.trace_id() != 0) {
       // Recorded at the receiver: the hop is complete once the batch lands.
       tracer.Record({t.trace_id(), SpanKind::kTransportHop,
-                     static_cast<int>(id_), "stream:" + input_name,
+                     static_cast<int>(id_),
+                     "stream:" + engine_.input_name(port),
                      sim_->Now().micros(), sim_->Now().micros()});
     }
     // Remote arrivals bypass the ingestion gate: they already consumed
     // transport credit, so dropping them here would lose accepted data.
-    Status st = engine_.PushInput(*port, std::move(t), sim_->Now(),
+    Status st = engine_.PushInput(port, std::move(t), sim_->Now(),
                                   /*gate_ingest=*/false);
     if (!st.ok()) {
       AURORA_LOG(Error) << "node " << id_ << ": push failed: " << st.ToString();
@@ -427,10 +419,8 @@ void StreamNode::FlushPending() {
           ? std::max<size_t>(1, transport_opts_.credit_window_bytes / 4)
           : SIZE_MAX;
   for (auto& [name, binding] : bindings_) {
-    Transport* tx = nullptr;
     while (!binding.pending.empty()) {
-      if (tx == nullptr) tx = TransportTo(binding.dst);
-      if (flow_enabled() && tx->StreamBlocked(binding.stream)) {
+      if (flow_enabled() && binding.transport->StreamBlocked(binding.stream)) {
         // Out of credit: hold the batch (sequence numbers are assigned at
         // send time, so holding is transparent to dedup and HA logs).
         if (binding.blocked_since_us < 0) {
@@ -443,10 +433,7 @@ void StreamNode::FlushPending() {
         bytes += binding.pending[n].WireSize();
         ++n;
       }
-      std::vector<Tuple> batch(binding.pending.begin(),
-                               binding.pending.begin() + n);
-      binding.pending.erase(binding.pending.begin(),
-                            binding.pending.begin() + n);
+      std::span<Tuple> batch(binding.pending.data(), n);
       if (binding.blocked_since_us >= 0) {
         // These tuples sat out a credit-blocked spell before getting on the
         // wire; attribute the wait to each traced tuple's lineage.
@@ -493,11 +480,13 @@ void StreamNode::FlushPending() {
       m_msgs_sent_->Add();
       // Span Send: the whole chunk serializes into one train sub-message
       // with a single flow/queue update.
-      Status st = tx->Send(binding.stream, batch.data(), batch.size());
+      Status st = binding.transport->Send(binding.stream, batch.data(), n);
       if (!st.ok()) {
         AURORA_LOG(Error) << "node " << id_
                           << ": send failed: " << st.ToString();
       }
+      binding.pending.erase(binding.pending.begin(),
+                            binding.pending.begin() + n);
     }
   }
   if (flow_enabled()) UpdateFlowBlocked();
@@ -518,14 +507,14 @@ size_t StreamNode::Crash() {
     binding.pending.clear();
     binding.output_log.clear();
   }
-  last_received_.clear();
-  stream_dedup_watermark_.clear();
-  // Receiver-side flow state is volatile too: offsets restart at zero. The
-  // senders' cumulative offsets survive on their side, so their next credit
-  // probes walk our watermark forward again (see FLOW_CONTROL.md).
+  // Receiver-side stream state is volatile too: sequence watermarks and
+  // flow offsets restart at zero. The senders' cumulative offsets survive on
+  // their side, so their next credit probes walk our flow watermark forward
+  // again (see FLOW_CONTROL.md).
   for (auto& [stream, in] : incoming_) {
     in.received_offset = 0;
     in.granted_limit = transport_opts_.credit_window_bytes;
+    in.last_seq = kNoSeqNo;
   }
   flow_blocked_ = false;
   engine_.SetIngestBlocked(false);
@@ -551,15 +540,30 @@ void StreamNode::RetainOutputLogs(bool retain) {
   for (auto& [name, binding] : bindings_) binding.retain_log = retain;
 }
 
-size_t StreamNode::TruncateOutputLog(const std::string& stream, SeqNo upto) {
-  size_t discarded = 0;
+const StreamNode::RemoteBinding* StreamNode::BindingForStream(
+    const std::string& stream) const {
+  for (const auto& [name, binding] : bindings_) {
+    if (binding.stream == stream) return &binding;
+  }
+  return nullptr;
+}
+
+StreamNode::RemoteBinding* StreamNode::MutableBindingForStream(
+    const std::string& stream) {
   for (auto& [name, binding] : bindings_) {
-    if (binding.stream != stream) continue;
-    while (!binding.output_log.empty() &&
-           binding.output_log.front().tuple.seq() <= upto) {
-      binding.output_log.pop_front();
-      ++discarded;
-    }
+    if (binding.stream == stream) return &binding;
+  }
+  return nullptr;
+}
+
+size_t StreamNode::TruncateOutputLog(const std::string& stream, SeqNo upto) {
+  RemoteBinding* binding = MutableBindingForStream(stream);
+  if (binding == nullptr) return 0;
+  size_t discarded = 0;
+  while (!binding->output_log.empty() &&
+         binding->output_log.front().tuple.seq() <= upto) {
+    binding->output_log.pop_front();
+    ++discarded;
   }
   if (store_ != nullptr && discarded > 0) {
     // Confirmed entries are dead durably too (§6.2 queue truncation).
@@ -570,15 +574,12 @@ size_t StreamNode::TruncateOutputLog(const std::string& stream, SeqNo upto) {
 
 std::vector<Tuple> StreamNode::OutputLogSnapshot(
     const std::string& stream) const {
-  for (const auto& [name, binding] : bindings_) {
-    if (binding.stream == stream) {
-      std::vector<Tuple> out;
-      out.reserve(binding.output_log.size());
-      for (const auto& e : binding.output_log) out.push_back(e.tuple);
-      return out;
-    }
+  std::vector<Tuple> out;
+  if (const RemoteBinding* binding = BindingForStream(stream)) {
+    out.reserve(binding->output_log.size());
+    for (const auto& e : binding->output_log) out.push_back(e.tuple);
   }
-  return {};
+  return out;
 }
 
 SeqNo StreamNode::UnconfirmedOutputMinLineage() const {
@@ -595,15 +596,18 @@ SeqNo StreamNode::UnconfirmedOutputMinLineage() const {
 }
 
 size_t StreamNode::OutputLogSize(const std::string& stream) const {
-  for (const auto& [name, binding] : bindings_) {
-    if (binding.stream == stream) return binding.output_log.size();
-  }
-  return 0;
+  const RemoteBinding* binding = BindingForStream(stream);
+  return binding == nullptr ? 0 : binding->output_log.size();
 }
 
 SeqNo StreamNode::LastReceivedSeq(const std::string& input_name) const {
-  auto it = last_received_.find(input_name);
-  return it == last_received_.end() ? kNoSeqNo : it->second;
+  auto port = engine_.FindInput(input_name);
+  SeqNo last = kNoSeqNo;
+  if (!port.ok()) return last;
+  for (const auto& [stream, in] : incoming_) {
+    if (in.input_port == *port) last = std::max(last, in.last_seq);
+  }
+  return last;
 }
 
 }  // namespace aurora

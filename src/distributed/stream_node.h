@@ -25,15 +25,15 @@ namespace aurora {
 class StreamNode {
  public:
   StreamNode(Simulation* sim, OverlayNetwork* net, NodeId id,
-             EngineOptions engine_opts, TransportOptions transport_opts,
-             SimDuration tick_interval = SimDuration::Millis(10));
+             EngineOptions engine_opts, TransportOptions transport_opts);
 
   NodeId id() const { return id_; }
   AuroraEngine& engine() { return engine_; }
   const AuroraEngine& engine() const { return engine_; }
   double speed() const { return net_->node(id_).speed; }
 
-  /// Begins periodic engine ticks (WSort timeouts etc.).
+  /// Begins periodic engine ticks (WSort timeouts etc.), every 10 ms of
+  /// simulated time.
   void Start();
 
   /// Scope of this node's lifetime: callbacks that other components send
@@ -43,49 +43,22 @@ class StreamNode {
   // ---- Remote arcs -------------------------------------------------------
 
   /// Routes the named engine output to `remote_input` on `dst`. The stream
-  /// name (globally unique, caller-chosen) keys transport scheduling and
-  /// HA logs.
+  /// name (globally unique, caller-chosen) keys transport scheduling,
+  /// duplicate suppression at `dst` and HA logs. AlreadyExists when this
+  /// node already binds that name or `dst` has ever received on it.
   Status BindRemoteOutput(const std::string& output_name, StreamNode* dst,
                           const std::string& remote_input,
                           const std::string& stream_name, double weight = 1.0);
   Status UnbindRemoteOutput(const std::string& output_name);
-  bool HasRemoteBinding(const std::string& output_name) const {
-    return bindings_.count(output_name) > 0;
-  }
   /// Name of the binding (== engine output name) attached to the given
   /// engine output port, or NotFound.
   Result<std::string> BindingNameForOutputPort(PortId port) const;
 
-  /// Registers which local engine input a named incoming transport stream
-  /// feeds. Called by the sender-side binding setup; `src` (the sending
-  /// node) is needed for credit-based flow control — grants travel back to
-  /// it over the network.
-  void RegisterIncomingStream(const std::string& stream,
-                              const std::string& input_name,
-                              StreamNode* src = nullptr) {
-    IncomingStream& in = incoming_[stream];
-    in.input_name = input_name;
-    if (src != nullptr) in.src = src;
-    in.granted_limit = transport_opts_.credit_window_bytes;
-  }
-
-  /// Called (via transport delivery) when a batch of tuples arrives on a
-  /// registered stream.
-  void OnRemoteStream(const std::string& stream,
-                      const std::vector<uint8_t>& payload);
-
-  /// Full delivery entry point used by the transport: tracks the stream's
-  /// received flow offset, delivers the payload, and re-grants credit.
+  /// Delivery entry point used by the transport: tracks the stream's
+  /// received flow offset, delivers the payload into the stream's engine
+  /// input, and re-grants credit. A message on a stream no binding ever
+  /// registered here is dropped with a warning.
   void OnRemoteMessage(const std::string& stream, const Message& msg);
-
-  /// Credit probe from a stalled sender: `sent_offset` is its cumulative
-  /// dispatched bytes. Data lost on the wire (chaos) leaves the receiver's
-  /// watermark behind the sender's; adopting the larger offset re-opens the
-  /// window so the stream cannot deadlock on loss.
-  void OnFlowProbe(const std::string& stream, uint64_t sent_offset);
-
-  /// Cumulative credit grant arriving back at this (sending) node.
-  void OnFlowGrant(const std::string& stream, uint64_t limit);
 
   /// True while some remote binding is out of credit, which pauses engine
   /// stepping and makes Inject() reject with "blocked upstream".
@@ -131,7 +104,7 @@ class StreamNode {
   size_t Crash();
 
   /// Tuples dropped as duplicates by per-stream sequence tracking (chaos
-  /// duplication or retransmits; see OnRemoteStream).
+  /// duplication or retransmits; see OnRemoteMessage).
   uint64_t duplicate_tuples_dropped() const { return dup_tuples_dropped_; }
 
   // ---- Durable storage ----------------------------------------------------
@@ -179,6 +152,8 @@ class StreamNode {
   struct RemoteBinding {
     PortId output_port = -1;
     StreamNode* dst = nullptr;
+    /// This node's transport toward `dst`, which carries `stream`.
+    Transport* transport = nullptr;
     std::string remote_input;
     std::string stream;
     double weight = 1.0;
@@ -222,6 +197,8 @@ class StreamNode {
   const std::map<std::string, RemoteBinding>& bindings() const {
     return bindings_;
   }
+  /// The binding that carries `stream`, or nullptr.
+  const RemoteBinding* BindingForStream(const std::string& stream) const;
   /// Discards logged tuples with seq <= `upto` on the stream (§6.2 queue
   /// truncation). Returns how many were discarded.
   size_t TruncateOutputLog(const std::string& stream, SeqNo upto);
@@ -232,7 +209,8 @@ class StreamNode {
   /// the oldest *input* tuple this node's unconfirmed outputs still depend
   /// on. kNoSeqNo when nothing is retained.
   SeqNo UnconfirmedOutputMinLineage() const;
-  /// Highest sequence number received so far per input stream.
+  /// Highest sequence number received so far on the named engine input:
+  /// the largest over the incoming streams that feed it.
   SeqNo LastReceivedSeq(const std::string& input_name) const;
 
   // ---- Statistics ---------------------------------------------------------
@@ -243,29 +221,46 @@ class StreamNode {
   uint64_t steps_executed() const { return steps_executed_; }
 
  private:
-  /// Receiver-side flow state of one incoming stream (see FLOW_CONTROL.md).
+  /// Receiver side of one remote arc, filled when the sender binds it and
+  /// kept after an unbind (stragglers may still arrive). Flow fields: see
+  /// FLOW_CONTROL.md.
   struct IncomingStream {
-    std::string input_name;
-    StreamNode* src = nullptr;  // grants are sent back to this node
-    PortId input_port = -1;     // resolved lazily from input_name
+    PortId input_port = -1;     // the engine input the stream feeds
+    StreamNode* src = nullptr;  // the sending node; grants go back to it
     /// Highest cumulative payload-byte offset received (or probed).
     uint64_t received_offset = 0;
     /// Last cumulative limit granted to the sender.
     uint64_t granted_limit = 0;
+    /// Highest sequence number delivered: the stream's dedup watermark.
+    /// Streams are FIFO per transport, so in normal operation sequences
+    /// only grow and this never drops anything; under chaos duplication (or
+    /// overtaking reorder) stale tuples are suppressed, which keeps the §6
+    /// recovery invariant "only in-process tuples are redone" intact.
+    SeqNo last_seq = kNoSeqNo;
   };
+  using IncomingEntry = std::map<std::string, IncomingStream>::value_type;
 
   void ScheduleStep();
   void Step();
   void FlushPending();
   Transport* TransportTo(StreamNode* dst);
-  /// Deserializes and pushes a batch; `stream` (when non-null) enables
-  /// per-stream duplicate suppression by sequence number.
-  void DeliverTuples(const std::string& input_name, const std::string* stream,
+  RemoteBinding* MutableBindingForStream(const std::string& stream);
+  /// Deserializes a batch and pushes it into input `port`. `stream` is the
+  /// incoming stream it arrived on (null for catalog-routed tuples): its
+  /// watermark suppresses duplicates by sequence number.
+  void DeliverTuples(PortId port, IncomingEntry* stream,
                      const std::vector<uint8_t>& payload);
+  /// Credit probe from a stalled sender: `sent_offset` is its cumulative
+  /// dispatched bytes. Data lost on the wire (chaos) leaves the receiver's
+  /// watermark behind the sender's; adopting the larger offset re-opens the
+  /// window so the stream cannot deadlock on loss.
+  void OnFlowProbe(const std::string& stream, uint64_t sent_offset);
+  /// Cumulative credit grant arriving back at this (sending) node.
+  void OnFlowGrant(const std::string& stream, uint64_t limit);
   bool flow_enabled() const { return transport_opts_.credit_window_bytes > 0; }
-  /// Re-grants credit on the stream when the input backlog leaves room for
-  /// more than already granted; `force` resends the current limit even when
-  /// unchanged (probe replies, healing lost grants).
+  /// Re-grants credit on the stream (flow control on) when the input
+  /// backlog leaves room for more than already granted; `force` resends the
+  /// current limit even when unchanged (probe replies, healing lost grants).
   void MaybeGrantCredit(const std::string& stream, IncomingStream& in,
                         bool force);
   /// Recomputes flow_blocked_ from the bindings' transport credit state and
@@ -277,17 +272,9 @@ class StreamNode {
   NodeId id_;
   AuroraEngine engine_;
   TransportOptions transport_opts_;
-  SimDuration tick_interval_;
   std::map<NodeId, std::unique_ptr<Transport>> transports_;
   std::map<std::string, RemoteBinding> bindings_;
   std::map<std::string, IncomingStream> incoming_;
-  std::map<std::string, SeqNo> last_received_;
-  /// Highest sequence seen per incoming *stream* — the dedup watermark.
-  /// Streams are FIFO per transport, so in normal operation sequences only
-  /// grow and this never drops anything; under chaos duplication (or
-  /// overtaking reorder) stale tuples are suppressed, which keeps the §6
-  /// recovery invariant "only in-process tuples are redone" intact.
-  std::map<std::string, SeqNo> stream_dedup_watermark_;
   /// Per-node decode scratch recycled across remote batches (the encode
   /// side now lives in Transport's span Send).
   std::vector<Tuple> decode_scratch_;

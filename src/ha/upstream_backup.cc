@@ -36,7 +36,7 @@ std::vector<HaManager::BindingRef> HaManager::BindingsInto(NodeId dst) const {
   for (size_t i = 0; i < system_->num_nodes(); ++i) {
     NodeId id = static_cast<NodeId>(i);
     for (const auto& [output_name, binding] : system_->node(id).bindings()) {
-      if (binding.dst != nullptr && binding.dst->id() == dst) {
+      if (binding.dst->id() == dst) {
         refs.push_back(BindingRef{id, output_name});
       }
     }
@@ -90,7 +90,7 @@ void HaManager::RunCheckpointRound() {
     StreamNode& src_node = system_->node(src);
     if (!src_node.up()) continue;
     for (const auto& [output_name, binding] : src_node.bindings()) {
-      if (binding.dst == nullptr || !binding.retain_log) continue;
+      if (!binding.retain_log) continue;
       StreamNode& dst_node = *binding.dst;
       if (!dst_node.up()) continue;
       SeqNo needed = ComputeEarliestNeeded(dst_node, binding.remote_input);
@@ -136,7 +136,6 @@ void HaManager::HeartbeatRound() {
     NodeId src = static_cast<NodeId>(i);
     if (!system_->node(src).up()) continue;  // dead watchers hear nothing
     for (const auto& [output_name, binding] : system_->node(src).bindings()) {
-      if (binding.dst == nullptr) continue;
       StreamNode& dst_node = *binding.dst;
       if (!dst_node.up()) continue;  // a dead node sends nothing
       heartbeat_messages_++;
@@ -168,7 +167,6 @@ void HaManager::CheckFailures() {
     }
     for (const auto& [output_name, binding] :
          system_->node(watcher).bindings()) {
-      if (binding.dst == nullptr) continue;
       NodeId watched = binding.dst->id();
       if (known_failed_.count(watched)) continue;
       detector_.Arm(watcher, watched, now);
@@ -344,7 +342,6 @@ Status HaManager::RecoverNode(NodeId failed, NodeId backup) {
 
   // Recreate the failed node's outgoing bindings from the recovered boxes.
   for (const auto& [oname, fbind] : f_node.bindings()) {
-    if (fbind.dst == nullptr) continue;
     for (ArcId feed : fe.ArcsInto(fbind.output_port)) {
       Endpoint from = fe.ArcFrom(feed);
       if (from.kind != Endpoint::Kind::kBox) continue;

@@ -25,12 +25,6 @@ enum class TruncationMethod {
 };
 
 struct HaOptions {
-  /// Number of simultaneous server failures to survive without message
-  /// loss (§6.2 k-safety). Our cascaded truncation rule (a tuple is
-  /// discarded only when every tuple derived from it is confirmed safe at
-  /// the next level) holds logs at every hop, so any prefix of k failed
-  /// servers is recoverable; k is used for validation/reporting.
-  int k_safety = 1;
   SimDuration heartbeat_interval = SimDuration::Millis(50);
   /// Silence longer than this marks the downstream neighbour failed (§6.3).
   SimDuration failure_timeout = SimDuration::Millis(250);
@@ -51,10 +45,13 @@ struct HaOptions {
 /// logs; logs are truncated when the downstream confirms (via flow-message
 /// back-channels or polled sequence arrays) that it no longer depends on
 /// them — neither in its queues, nor in box state, nor in its own not-yet-
-/// confirmed outputs. On failure (detected by heartbeat silence, §6.3) the
-/// upstream backup re-instantiates the failed server's query pieces locally
-/// and reprocesses its output log, "emulating the processing of the failed
-/// server". A manager may be destroyed before the simulation: its timers
+/// confirmed outputs. This cascaded truncation rule (a tuple is discarded
+/// only when every tuple derived from it is confirmed safe at the next
+/// level) holds logs at every hop, so any prefix of k failed servers is
+/// recoverable (§6.2 k-safety). On failure (detected by heartbeat silence,
+/// §6.3) the upstream backup re-instantiates the failed server's query
+/// pieces locally and reprocesses its output log, "emulating the processing
+/// of the failed server". A manager may be destroyed before the simulation: its timers
 /// and the protocol messages it has in flight are guarded by its lifetime.
 class HaManager {
  public:

@@ -2,6 +2,25 @@
 
 namespace aurora {
 
+namespace {
+/// How often content contracts are settled (messages metered, money
+/// transferred) and oracles evaluate movement contracts.
+constexpr SimDuration kSettleInterval = SimDuration::Millis(200);
+/// Oracle thresholds: a side proposes moving the box away above
+/// kOracleOverload, and accepts hosting below kOracleUnderload.
+constexpr double kOracleOverload = 0.8;
+constexpr double kOracleUnderload = 0.5;
+}  // namespace
+
+MedusaSystem::MedusaSystem(AuroraStarSystem* system)
+    : star_(system),
+      slider_(system),
+      // Buyers watch seller nodes through the shared detector: a settle
+      // round doubles as the heartbeat, so silence shorter than a round
+      // can never convict and a full silent round always does.
+      detector_(FailureDetectorOptions{
+          SimDuration::Micros(kSettleInterval.micros() / 2), 1}) {}
+
 Result<Participant*> MedusaSystem::AddParticipant(const std::string& name,
                                                   std::vector<NodeId> nodes,
                                                   double initial_balance,
@@ -46,7 +65,7 @@ void MedusaSystem::Start() {
   if (started_) return;
   started_ = true;
   Simulation* sim = star_->sim();
-  sim->SchedulePeriodic(opts_.settle_interval, liveness_.Guard([this]() {
+  sim->SchedulePeriodic(kSettleInterval, liveness_.Guard([this]() {
     SettleContracts();
     SettleMovementProcessing();
     RunOracles();
@@ -117,11 +136,12 @@ Result<BoxId> MedusaSystem::RemoteDefine(const std::string& definer,
 // Content contracts
 // ---------------------------------------------------------------------------
 
-Result<NodeId> MedusaSystem::FindStreamSource(const std::string& stream) const {
+Result<MedusaSystem::StreamSource> MedusaSystem::FindStreamSource(
+    const std::string& stream) const {
   for (size_t i = 0; i < star_->num_nodes(); ++i) {
     NodeId id = static_cast<NodeId>(i);
-    for (const auto& [output, binding] : star_->node(id).bindings()) {
-      if (binding.stream == stream) return id;
+    if (const auto* binding = star_->node(id).BindingForStream(stream)) {
+      return StreamSource{id, binding};
     }
   }
   return Status::NotFound("no binding carries stream '" + stream + "'");
@@ -133,8 +153,8 @@ Result<int> MedusaSystem::EstablishContentContract(
     double availability_guarantee, double upfront_payment) {
   AURORA_ASSIGN_OR_RETURN(Participant * seller_p, GetParticipant(seller));
   AURORA_RETURN_NOT_OK(GetParticipant(buyer).status());
-  AURORA_ASSIGN_OR_RETURN(NodeId src_node, FindStreamSource(stream));
-  if (!seller_p->OwnsNode(src_node)) {
+  AURORA_ASSIGN_OR_RETURN(StreamSource src, FindStreamSource(stream));
+  if (!seller_p->OwnsNode(src.node)) {
     return Status::FailedPrecondition("stream does not originate at '" +
                                       seller + "'");
   }
@@ -153,11 +173,7 @@ Result<int> MedusaSystem::EstablishContentContract(
     contract.total_paid += upfront_payment;
   }
   // Watermark starts at the current sent count: only future messages bill.
-  uint64_t sent = 0;
-  for (const auto& [output, binding] : star_->node(src_node).bindings()) {
-    if (binding.stream == stream) sent = binding.tuples_sent;
-  }
-  settled_watermark_[contract.id] = sent;
+  settled_watermark_[contract.id] = src.binding->tuples_sent;
   content_.push_back(contract);
   return contract.id;
 }
@@ -200,8 +216,10 @@ void MedusaSystem::SettleContracts() {
     if (!c.active) continue;
     auto src = FindStreamSource(c.stream);
     if (!src.ok()) continue;
-    detector_.Arm(c.id, *src, now);
-    if (star_->node(*src).up()) detector_.RecordHeartbeat(c.id, *src, now);
+    detector_.Arm(c.id, src->node, now);
+    if (star_->node(src->node).up()) {
+      detector_.RecordHeartbeat(c.id, src->node, now);
+    }
   }
   (void)detector_.CheckSilence(now);
   for (auto& c : content_) {
@@ -214,7 +232,7 @@ void MedusaSystem::SettleContracts() {
     auto src = FindStreamSource(c.stream);
     if (!src.ok()) continue;
     c.settle_checks++;
-    if (detector_.IsSuspected(*src)) {
+    if (detector_.IsSuspected(src->node)) {
       c.down_checks++;
       // Availability clause: breach voids the contract.
       if (c.availability_guarantee > 0.0 && c.settle_checks > 4) {
@@ -227,10 +245,7 @@ void MedusaSystem::SettleContracts() {
       }
       continue;
     }
-    uint64_t sent = 0;
-    for (const auto& [output, binding] : star_->node(*src).bindings()) {
-      if (binding.stream == c.stream) sent = binding.tuples_sent;
-    }
+    uint64_t sent = src->binding->tuples_sent;
     uint64_t& mark = settled_watermark_[c.id];
     if (sent <= mark) continue;
     uint64_t delta = sent - mark;
@@ -359,8 +374,8 @@ int MedusaSystem::RunOracles() {
     // The hosting oracle proposes a hand-off when overloaded; the
     // counterpart accepts when underloaded AND the hosting fee covers its
     // processing cost ("their contracts have to make money").
-    if (host_node.utilization() < opts_.oracle_overload) continue;
-    if (other_node.utilization() > opts_.oracle_underload) continue;
+    if (host_node.utilization() < kOracleOverload) continue;
+    if (other_node.utilization() > kOracleUnderload) continue;
     const std::string& acceptor =
         m.hosted_at_b ? m.participant_a : m.participant_b;
     double acceptor_price = m.hosted_at_b ? m.price_a : m.price_b;

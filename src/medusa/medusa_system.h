@@ -13,16 +13,6 @@
 
 namespace aurora {
 
-struct MedusaOptions {
-  /// How often content contracts are settled (messages metered, money
-  /// transferred) and oracles evaluate movement contracts.
-  SimDuration settle_interval = SimDuration::Millis(200);
-  /// Oracle thresholds: a side proposes moving the box away above
-  /// `overload`, and accepts hosting below `underload`.
-  double oracle_overload = 0.8;
-  double oracle_underload = 0.5;
-};
-
 /// \brief Medusa: federated operation across administrative boundaries
 /// (paper §3.2, §7.2).
 ///
@@ -32,18 +22,11 @@ struct MedusaOptions {
 /// settlement; movement contracts let the paired oracles migrate a query
 /// piece between the two participants when both sides profit; remote
 /// definition instantiates operators from a participant's offered set
-/// inside its domain (§4.4).
+/// inside its domain (§4.4). Contracts settle, and oracles evaluate
+/// movement contracts, every 200 ms of simulated time.
 class MedusaSystem {
  public:
-  MedusaSystem(AuroraStarSystem* system, MedusaOptions opts)
-      : star_(system),
-        opts_(opts),
-        slider_(system),
-        // Buyers watch seller nodes through the shared detector: a settle
-        // round doubles as the heartbeat, so silence shorter than a round
-        // can never convict and a full silent round always does.
-        detector_(FailureDetectorOptions{
-            SimDuration::Micros(opts.settle_interval.micros() / 2), 1}) {}
+  explicit MedusaSystem(AuroraStarSystem* system);
 
   AuroraStarSystem* star() { return star_; }
 
@@ -133,16 +116,19 @@ class MedusaSystem {
   const HeartbeatFailureDetector& detector() const { return detector_; }
 
  private:
-  /// Locates the (node, binding stream) pair for a stream name; returns the
-  /// holder node or NotFound.
-  Result<NodeId> FindStreamSource(const std::string& stream) const;
+  /// The node whose binding carries a stream, and that binding.
+  struct StreamSource {
+    NodeId node;
+    const StreamNode::RemoteBinding* binding;
+  };
+  /// The source of `stream`, or NotFound.
+  Result<StreamSource> FindStreamSource(const std::string& stream) const;
   void Transfer(const std::string& from, const std::string& to, double amount);
   /// Hosting participant's per-tuple processing charge for a movement
   /// contract's box, paid by the box's owner side.
   void SettleMovementProcessing();
 
   AuroraStarSystem* star_;
-  MedusaOptions opts_;
   BoxSlider slider_;
   HeartbeatFailureDetector detector_;
   std::map<std::string, std::unique_ptr<Participant>> participants_;

@@ -10,34 +10,31 @@ namespace aurora {
 
 namespace {
 
-/// Little-endian framing helpers for train sub-messages. Each sub-message
-/// is encoded as [u64 flow_offset][u32 length][payload bytes]; the frame's
-/// train_count says how many to read back, so trailing link padding (mode
-/// overhead bytes) is ignored by the decoder.
+/// One-time bytes charged when a connection is opened (handshake): once for
+/// the shared connection in multiplexed mode, once per stream otherwise.
+constexpr size_t kConnectionSetupBytes = 200;
+/// Extra fractional bytes per message per *additional* concurrent
+/// connection in per-stream mode, modeling the adverse interaction of
+/// independent TCP connections in the network ([11] in the paper).
+constexpr double kCrossConnectionInterference = 0.01;
+/// Per-stream tag added to each multiplexed frame.
+constexpr size_t kMuxTagBytes = 4;
+/// While a stream is credit-stalled (or the path to the peer is down), the
+/// transport re-checks and sends a credit probe at this interval.
+constexpr SimDuration kFlowRetryInterval = SimDuration::Millis(50);
+
+/// Each train sub-message is framed as [u64 flow_offset][u32 length]
+/// [payload bytes]; the frame's train_count says how many to read back.
 constexpr size_t kTrainSubHeaderBytes = 12;
 
-void AppendU32(std::vector<uint8_t>* buf, uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf->push_back((v >> (8 * i)) & 0xff);
-}
-
-void AppendU64(std::vector<uint8_t>* buf, uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf->push_back((v >> (8 * i)) & 0xff);
-}
-
-bool ReadU32(const std::vector<uint8_t>& buf, size_t* pos, uint32_t* v) {
-  if (*pos + 4 > buf.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) *v |= static_cast<uint32_t>(buf[*pos + i]) << (8 * i);
-  *pos += 4;
-  return true;
-}
-
-bool ReadU64(const std::vector<uint8_t>& buf, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > buf.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(buf[*pos + i]) << (8 * i);
-  *pos += 8;
-  return true;
+/// Reads one train sub-message's flow offset and payload.
+Status GetTrainSub(Decoder* dec, Message* sub) {
+  AURORA_ASSIGN_OR_RETURN(sub->flow_offset, dec->GetU64());
+  AURORA_ASSIGN_OR_RETURN(uint32_t len, dec->GetU32());
+  AURORA_ASSIGN_OR_RETURN(std::span<const uint8_t> payload,
+                          dec->GetBytes(len));
+  sub->payload.assign(payload.begin(), payload.end());
+  return Status::OK();
 }
 
 /// Train budget units of one message: its tuple count when known, else 1.
@@ -63,8 +60,8 @@ Transport::Transport(Simulation* sim, OverlayNetwork* net, NodeId src,
   m_train_tuples_ = reg.GetHistogram("net.flow.train_tuples");
   if (opts_.mode == TransportMode::kMultiplexed) {
     // One shared connection: pay setup once up front.
-    total_wire_bytes_ += opts_.connection_setup_bytes;
-    m_wire_bytes_->Add(opts_.connection_setup_bytes);
+    total_wire_bytes_ += kConnectionSetupBytes;
+    m_wire_bytes_->Add(kConnectionSetupBytes);
   }
 }
 
@@ -83,8 +80,8 @@ Status Transport::RegisterStream(const std::string& name, double weight) {
   rr_order_.push_back(name);
   if (opts_.mode == TransportMode::kPerStreamConnections) {
     // Each stream opens its own connection: handshake bytes on the wire.
-    total_wire_bytes_ += opts_.connection_setup_bytes;
-    m_wire_bytes_->Add(opts_.connection_setup_bytes);
+    total_wire_bytes_ += kConnectionSetupBytes;
+    m_wire_bytes_->Add(kConnectionSetupBytes);
   }
   return Status::OK();
 }
@@ -210,7 +207,7 @@ bool Transport::ReadyToDispatch(const std::string& name, StreamState& st,
     if (!net_->PathUp(src_, dst_)) {
       // Partitioned or peer down: hold the queue (a send would be dropped
       // on the floor) and retry on a deterministic cadence.
-      *wake = std::min(*wake, sim_->Now() + opts_.flow_retry_interval);
+      *wake = std::min(*wake, sim_->Now() + kFlowRetryInterval);
       return false;
     }
     if (st.queue.front().flow_offset > st.credit_limit &&
@@ -225,7 +222,7 @@ bool Transport::ReadyToDispatch(const std::string& name, StreamState& st,
       // cannot deadlock the stream.
       if (sim_->Now() >= st.next_probe_at) {
         SendCreditProbe(name, st);
-        st.next_probe_at = sim_->Now() + opts_.flow_retry_interval;
+        st.next_probe_at = sim_->Now() + kFlowRetryInterval;
       }
       *wake = std::min(*wake, st.next_probe_at);
       return false;
@@ -305,7 +302,7 @@ void Transport::MaybeDispatch() {
       st.last_finish_tag =
           best_start + static_cast<double>(TrainWireSize(st, k)) / st.weight;
       virtual_time_ = best_start;
-      DispatchTrain(*best, k, opts_.mux_tag_bytes);
+      DispatchTrain(*best, k, kMuxTagBytes);
       return;
     }
     case TransportMode::kPerStreamConnections: {
@@ -325,7 +322,7 @@ void Transport::MaybeDispatch() {
         // Interference: extra bytes proportional to other live connections.
         size_t extra = static_cast<size_t>(
             static_cast<double>(TrainWireSize(st, k)) *
-            opts_.cross_connection_interference *
+            kCrossConnectionInterference *
             static_cast<double>(active - 1));
         DispatchTrain(name, k, extra);
         return;
@@ -340,46 +337,46 @@ void Transport::DispatchTrain(const std::string& stream, size_t k,
                               size_t extra_bytes) {
   StreamState& st = streams_[stream];
   AURORA_CHECK(!st.queue.empty() && k >= 1 && k <= st.queue.size());
-  std::vector<Message> subs;
-  subs.reserve(k);
   size_t sub_payload = 0;
   size_t sub_wire = 0;
   uint32_t tuples = 0;
   for (size_t i = 0; i < k; ++i) {
-    Message m = std::move(st.queue.front());
-    st.queue.pop_front();
-    int64_t enq_us = st.enqueue_us.front();
-    st.enqueue_us.pop_front();
+    const Message& m = st.queue[i];
     m_queue_delay_us_->Record(
-        static_cast<double>(sim_->Now().micros() - enq_us));
+        static_cast<double>(sim_->Now().micros() - st.enqueue_us[i]));
     sub_payload += m.payload.size();
     sub_wire += m.WireSize();
     tuples += BudgetUnits(m);
-    subs.push_back(std::move(m));
   }
-  st.queued_bytes -= sub_wire;
-  st.queued_payload -= sub_payload;
+  const uint64_t flow_offset = st.queue[k - 1].flow_offset;
 
   Message frame;
   if (k == 1) {
-    frame = subs.front();
+    frame = std::move(st.queue.front());
   } else {
     // One framed train: the fixed header, kind, and stream are paid once;
     // each coalesced message costs only the 12-byte sub-header.
-    frame.kind = subs.front().kind;
+    frame.kind = st.queue.front().kind;
     frame.stream = stream;
     frame.train_count = static_cast<uint32_t>(k);
-    frame.payload.reserve(sub_payload + k * kTrainSubHeaderBytes);
-    for (const Message& m : subs) {
-      AppendU64(&frame.payload, m.flow_offset);
-      AppendU32(&frame.payload, static_cast<uint32_t>(m.payload.size()));
-      frame.payload.insert(frame.payload.end(), m.payload.begin(),
-                           m.payload.end());
+    std::vector<uint8_t> buf;
+    buf.reserve(sub_payload + k * kTrainSubHeaderBytes);
+    Encoder enc(std::move(buf));
+    for (size_t i = 0; i < k; ++i) {
+      const Message& m = st.queue[i];
+      enc.PutU64(m.flow_offset);
+      enc.PutU32(static_cast<uint32_t>(m.payload.size()));
+      enc.PutBytes(m.payload.data(), m.payload.size());
     }
+    frame.payload = enc.TakeBuffer();
   }
+  st.queue.erase(st.queue.begin(), st.queue.begin() + k);
+  st.enqueue_us.erase(st.enqueue_us.begin(), st.enqueue_us.begin() + k);
+  st.queued_bytes -= sub_wire;
+  st.queued_payload -= sub_payload;
   frame.tuple_count = tuples;
-  frame.flow_offset = subs.back().flow_offset;
-  if (flow_enabled()) st.sent_offset = subs.back().flow_offset;
+  frame.flow_offset = flow_offset;
+  if (flow_enabled()) st.sent_offset = flow_offset;
 
   // The mode's overhead rides as accounted padding (Message::pad_bytes), so
   // no padded copy of the payload is ever materialized.
@@ -424,13 +421,10 @@ void Transport::DeliverFrame(const std::string& stream, const Message& frame) {
     return;
   }
   // Unpack the train: one delivery per original message, in order.
-  size_t pos = 0;
+  Decoder dec(frame.payload);
   for (uint32_t i = 0; i < frame.train_count; ++i) {
     Message sub;
-    uint32_t len = 0;
-    if (!ReadU64(frame.payload, &pos, &sub.flow_offset) ||
-        !ReadU32(frame.payload, &pos, &len) ||
-        pos + len > frame.payload.size()) {
+    if (!GetTrainSub(&dec, &sub).ok()) {
       AURORA_LOG(Error) << "transport: corrupt train frame on stream '"
                         << stream << "'";
       return;
@@ -439,11 +433,8 @@ void Transport::DeliverFrame(const std::string& stream, const Message& frame) {
     sub.stream = stream;
     sub.src = frame.src;
     sub.dst = frame.dst;
-    sub.payload.assign(frame.payload.begin() + pos,
-                       frame.payload.begin() + pos + len);
-    pos += len;
     st.delivered++;
-    st.delivered_bytes += len;
+    st.delivered_bytes += sub.payload.size();
     if (handler_) handler_(stream, sub);
   }
 }

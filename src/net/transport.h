@@ -29,15 +29,6 @@ enum class TransportMode {
 
 struct TransportOptions {
   TransportMode mode = TransportMode::kMultiplexed;
-  /// One-time bytes charged when a per-stream connection is opened
-  /// (handshake). Multiplexed mode pays it once for the shared connection.
-  size_t connection_setup_bytes = 200;
-  /// Extra fractional bytes per message per *additional* concurrent
-  /// connection, modeling the adverse interaction of independent TCP
-  /// connections in the network ([11] in the paper).
-  double cross_connection_interference = 0.01;
-  /// Per-stream tag added to each multiplexed message.
-  size_t mux_tag_bytes = 4;
 
   // ---- Tuple trains ------------------------------------------------------
   /// Max queued messages coalesced into one wire frame per dispatch; 1
@@ -54,9 +45,6 @@ struct TransportOptions {
   /// disables flow control. A stream may have at most this many payload
   /// bytes beyond the receiver's last grant outstanding.
   size_t credit_window_bytes = 0;
-  /// While a stream is credit-stalled (or the path to the peer is down),
-  /// the transport re-checks and sends a credit probe at this interval.
-  SimDuration flow_retry_interval = SimDuration::Millis(50);
   /// Per-stream sequence-number duplicate suppression at the receiving
   /// StreamNode (PR 2). Exists so correctness harnesses (simcheck) can turn
   /// the mechanism off and demonstrate the duplicate-delivery violations it
@@ -103,9 +91,6 @@ class Transport {
   /// Declares a message stream with its bandwidth weight (from QoS or
   /// contract specifications, per the paper).
   Status RegisterStream(const std::string& name, double weight);
-  bool HasStream(const std::string& name) const {
-    return streams_.count(name) > 0;
-  }
 
   /// Queues a message on the stream. Delivery order within a stream is
   /// FIFO.

@@ -33,7 +33,7 @@ namespace aurora {
 ///    "spans_dropped": D, "spans": [...], "metrics": {...}}
 ///
 /// Everything in the dump derives from simulation state, so two same-seed
-/// runs produce byte-identical dumps (the CI obs-smoke step diffs them).
+/// runs produce byte-identical dumps (the CI gates job diffs them).
 ///
 /// Disabled by default; enable programmatically or with
 /// AURORA_FLIGHT_RECORDER=1 (read once at first Global() use, inside the

@@ -17,6 +17,9 @@ constexpr uint32_t kPageMagic = 0x61757250;  // "Pura"
 constexpr uint32_t kMetaMagic = 0x6175724D;  // "Mura"
 constexpr uint32_t kFormatVersion = 1;
 constexpr char kMetaPath[] = "meta.bin";
+/// Group-fsync threshold: Tick() syncs the active segment once at least
+/// this many unsynced bytes have accumulated (it always syncs on seal).
+constexpr size_t kGroupSyncBytes = 8 * 1024;
 
 uint32_t Fnv1a32(const uint8_t* data, size_t n, uint32_t seed = 2166136261u) {
   uint32_t h = seed;
@@ -197,9 +200,10 @@ void TieredStore::SealActiveSegment() {
 }
 
 void TieredStore::Tick(SimTime now) {
-  // Group fsync: amortize syncs over group_sync_bytes of appended data.
-  if (unsynced_bytes_ > 0 &&
-      (opts_.group_sync_bytes == 0 || unsynced_bytes_ >= opts_.group_sync_bytes ||
+  // Group fsync: amortize syncs over kGroupSyncBytes of appended data (a
+  // full segment always syncs, so it can be sealed).
+  if (unsynced_bytes_ >= kGroupSyncBytes ||
+      (unsynced_bytes_ > 0 &&
        active_segment_size_ >= opts_.aof_segment_bytes)) {
     SyncActiveSegment(now);
   }
@@ -422,11 +426,12 @@ size_t TieredStore::DecodeSegment(
         dec.remaining() != *payload_len) {
       break;
     }
+    std::span<const uint8_t> payload = *dec.GetBytes(*payload_len);
     StoredRecord rec;
     rec.stream = std::move(*stream);
     rec.seq = *seq;
     rec.timestamp_us = *ts;
-    rec.payload.assign(body + (len - *payload_len), body + len);
+    rec.payload.assign(payload.begin(), payload.end());
     fn(std::move(rec));
     pos += 8 + len;
   }

@@ -31,10 +31,6 @@ struct TieredStoreOptions {
   size_t mem_budget_bytes = 256 * 1024;
   /// Active AOF segment is sealed (queued for compaction) at this size.
   size_t aof_segment_bytes = 64 * 1024;
-  /// Group-fsync threshold: Tick() syncs the active segment once at least
-  /// this many unsynced bytes have accumulated (it always syncs on seal).
-  /// 0 = sync on every Tick with pending bytes.
-  size_t group_sync_bytes = 8 * 1024;
   /// When true every append syncs immediately (no deferred-durability
   /// window; slow, for tests that want zero loss on crash).
   bool sync_every_append = false;

@@ -26,7 +26,7 @@ void Encoder::PutDouble(double v) {
 
 void Encoder::PutString(const std::string& s) {
   PutU32(static_cast<uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
 void Encoder::PutValue(const Value& v) {
@@ -66,7 +66,7 @@ void Encoder::PutSchema(const Schema& s) {
 }
 
 Status Decoder::Need(size_t n) const {
-  if (pos_ + n > size_) {
+  if (n > size_ - pos_) {
     return Status::OutOfRange("decode past end of buffer (need " +
                               std::to_string(n) + " bytes, have " +
                               std::to_string(size_ - pos_) + ")");
@@ -117,10 +117,15 @@ Result<double> Decoder::GetDouble() {
 
 Result<std::string> Decoder::GetString() {
   AURORA_ASSIGN_OR_RETURN(uint32_t len, GetU32());
-  AURORA_RETURN_NOT_OK(Need(len));
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
-  pos_ += len;
-  return s;
+  AURORA_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes, GetBytes(len));
+  return std::string(reinterpret_cast<const char*>(bytes.data()), len);
+}
+
+Result<std::span<const uint8_t>> Decoder::GetBytes(size_t n) {
+  AURORA_RETURN_NOT_OK(Need(n));
+  std::span<const uint8_t> bytes(data_ + pos_, n);
+  pos_ += n;
+  return bytes;
 }
 
 Result<Value> Decoder::GetValue() {

@@ -2,6 +2,7 @@
 #define AURORA_TUPLE_SERDE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,10 @@ class Encoder {
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutDouble(double v);
   void PutString(const std::string& s);
+  /// Appends `n` raw bytes (no length prefix).
+  void PutBytes(const uint8_t* data, size_t n) {
+    buf_.insert(buf_.end(), data, data + n);
+  }
 
   void PutValue(const Value& v);
   void PutTuple(const Tuple& t);
@@ -68,6 +73,8 @@ class Decoder {
   Result<int64_t> GetI64();
   Result<double> GetDouble();
   Result<std::string> GetString();
+  /// The next `n` raw bytes, as a view into the decoded buffer.
+  Result<std::span<const uint8_t>> GetBytes(size_t n);
 
   Result<Value> GetValue();
   /// Decodes a tuple; the schema is attached but not re-validated per tuple.

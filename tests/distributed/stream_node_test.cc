@@ -191,7 +191,7 @@ TEST(StreamNodeLifetimeTest, FrameInFlightToDestroyedPeerIsDropped) {
 }
 
 TEST_F(StreamNodeTest, UnknownStreamIsDroppedNotFatal) {
-  system_->node(b_).OnRemoteStream("ghost-stream", {});
+  system_->node(b_).OnRemoteMessage("ghost-stream", Message{});
   Inject(2);
   sim_.RunFor(SimDuration::Seconds(1));
   EXPECT_EQ(received_.size(), 2u);
@@ -220,6 +220,88 @@ TEST_F(StreamNodeTest, DuplicateBindingRejected) {
   StreamNode& a = system_->node(a_);
   Status st = a.BindRemoteOutput("xout", &system_->node(b_), "xin", "s2");
   EXPECT_TRUE(st.IsAlreadyExists());
+}
+
+// Three nodes on a full mesh. Each relays its input "in" to outputs "out1"
+// and "out2"; node c's "out1" counts what reaches it.
+class StreamNameTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    net_ = std::make_unique<OverlayNetwork>(&sim_);
+    system_ = std::make_unique<AuroraStarSystem>(&sim_, net_.get(),
+                                                 StarOptions{});
+    for (const char* name : {"a", "b", "c"}) {
+      ASSERT_OK_AND_ASSIGN(NodeId id,
+                           system_->AddNode(NodeOptions{name, 1.0, {}}));
+      AuroraEngine& e = system_->node(id).engine();
+      PortId in = *e.AddInput("in", SchemaAB());
+      for (const char* out : {"out1", "out2"}) {
+        PortId port = *e.AddOutput(out);
+        ASSERT_OK(e.Connect(Endpoint::InputPort(in), Endpoint::OutputPort(port))
+                      .status());
+      }
+    }
+    net_->FullMesh(LinkOptions{});
+    ASSERT_OK(system_->CollectOutput(
+        c_, "out1", [this](const Tuple&, SimTime) { ++received_; }));
+  }
+
+  void Inject(NodeId node, int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_OK(system_->node(node).Inject(
+          "in", MakeTuple(SchemaAB(), {Value(i), Value(0)})));
+    }
+    sim_.RunFor(SimDuration::Seconds(1));
+  }
+
+  StreamNode& node(NodeId id) { return system_->node(id); }
+
+  Simulation sim_;
+  std::unique_ptr<OverlayNetwork> net_;
+  std::unique_ptr<AuroraStarSystem> system_;
+  const NodeId a_ = 0, b_ = 1, c_ = 2;
+  size_t received_ = 0;
+};
+
+// Both bindings would number their tuples from 1 on one stream, and c's
+// dedup watermark would drop the second one's as duplicates.
+TEST_F(StreamNameTest, SameNodeCannotReuseAStreamName) {
+  ASSERT_OK(node(a_).BindRemoteOutput("out1", &node(c_), "in", "s"));
+  EXPECT_TRUE(
+      node(a_).BindRemoteOutput("out2", &node(c_), "in", "s")
+          .IsAlreadyExists());
+  Inject(a_, 10);
+  EXPECT_EQ(received_, 10u);
+  EXPECT_EQ(node(c_).duplicate_tuples_dropped(), 0u);
+  // c keeps the stream after the unbind (stragglers may still arrive), so
+  // the name stays taken toward c.
+  ASSERT_OK(node(a_).UnbindRemoteOutput("out1"));
+  EXPECT_TRUE(
+      node(a_).BindRemoteOutput("out2", &node(c_), "in", "s")
+          .IsAlreadyExists());
+}
+
+TEST_F(StreamNameTest, TwoNodesCannotBindOneStreamNameIntoOnePeer) {
+  ASSERT_OK(node(a_).BindRemoteOutput("out1", &node(c_), "in", "s"));
+  EXPECT_TRUE(
+      node(b_).BindRemoteOutput("out1", &node(c_), "in", "s")
+          .IsAlreadyExists());
+  Inject(a_, 10);
+  Inject(b_, 4);
+  EXPECT_EQ(received_, 10u);
+  EXPECT_EQ(node(c_).duplicate_tuples_dropped(), 0u);
+}
+
+// Two streams into one input each number their tuples from 1; dedup is per
+// stream, and the input's last received sequence is the larger watermark.
+TEST_F(StreamNameTest, DistinctStreamsIntoOneInputKeepTheirOwnSequences) {
+  ASSERT_OK(node(a_).BindRemoteOutput("out1", &node(c_), "in", "sa"));
+  ASSERT_OK(node(b_).BindRemoteOutput("out1", &node(c_), "in", "sb"));
+  Inject(a_, 10);
+  Inject(b_, 4);
+  EXPECT_EQ(received_, 14u);
+  EXPECT_EQ(node(c_).duplicate_tuples_dropped(), 0u);
+  EXPECT_EQ(node(c_).LastReceivedSeq("in"), 10u);
 }
 
 TEST_F(StreamNodeTest, BindingToMissingRemoteInputRejected) {

@@ -22,7 +22,7 @@ class AvailabilityTest : public ::testing::Test {
     ASSERT_OK_AND_ASSIGN(buyer_node_,
                          star_->AddNode(NodeOptions{"buyer0", 1.0, {}}));
     net_->FullMesh(LinkOptions{});
-    medusa_ = std::make_unique<MedusaSystem>(star_.get(), MedusaOptions{});
+    medusa_ = std::make_unique<MedusaSystem>(star_.get());
     ASSERT_OK(medusa_->AddParticipant("seller", {seller_node_}, 1000, 0.001)
                   .status());
     ASSERT_OK(medusa_->AddParticipant("buyer", {buyer_node_}, 1000, 0.001)

@@ -22,7 +22,7 @@ class MedusaTest : public ::testing::Test {
     ASSERT_OK_AND_ASSIGN(brown_node_,
                          star_->AddNode(NodeOptions{"brown0", 1.0, {}}));
     net_->FullMesh(LinkOptions{});
-    medusa_ = std::make_unique<MedusaSystem>(star_.get(), MedusaOptions{});
+    medusa_ = std::make_unique<MedusaSystem>(star_.get());
     ASSERT_OK_AND_ASSIGN(
         mit_, medusa_->AddParticipant("mit", {mit_node_}, 1000.0, 0.001));
     ASSERT_OK_AND_ASSIGN(

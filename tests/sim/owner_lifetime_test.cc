@@ -138,8 +138,7 @@ const OwnerCase kCases[] = {
      OnlyNodeTicksRemain},
     {"MedusaSystem",
      [](Rig& rig) {
-       auto medusa =
-           std::make_shared<MedusaSystem>(rig.system.get(), MedusaOptions{});
+       auto medusa = std::make_shared<MedusaSystem>(rig.system.get());
        medusa->Start();
        return medusa;
      },

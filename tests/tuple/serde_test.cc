@@ -95,6 +95,26 @@ TEST(SerdeTest, TrailingGarbageIsError) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
+// Raw bytes round-trip as a view into the buffer; a length past the end,
+// even one that would wrap the read position, is OutOfRange and reads
+// nothing.
+TEST(SerdeTest, RawBytesRoundTripAndStayInBounds) {
+  const std::vector<uint8_t> raw = {1, 2, 3, 4, 5};
+  Encoder enc;
+  enc.PutBytes(raw.data(), raw.size());
+  enc.PutU8(9);
+  Decoder dec(enc.buffer());
+  ASSERT_OK_AND_ASSIGN(std::span<const uint8_t> head, dec.GetBytes(2));
+  EXPECT_TRUE(dec.GetBytes(SIZE_MAX).status().IsOutOfRange());
+  EXPECT_TRUE(dec.GetBytes(5).status().IsOutOfRange());
+  ASSERT_OK_AND_ASSIGN(std::span<const uint8_t> tail, dec.GetBytes(3));
+  std::vector<uint8_t> got(head.begin(), head.end());
+  got.insert(got.end(), tail.begin(), tail.end());
+  EXPECT_EQ(got, raw);
+  EXPECT_EQ(*dec.GetU8(), 9);
+  EXPECT_TRUE(dec.AtEnd());
+}
+
 // The batch count comes off the wire: a hostile count (ff ff ff 7f claims
 // 2^31 - 1 tuples, 64 GiB of handles) must not size the allocation, and the
 // decode still fails at the first missing tuple.
