@@ -223,7 +223,10 @@ BENCHMARK(BM_HotPath)
 // configs are where batching pays most (vectorized predicate/expr
 // evaluation plus chunked arc enqueues); the string configs measure the
 // StrColumn + identity-projection path, which keeps wide string schemas on
-// the batched path instead of falling back to scalar evaluation.
+// the batched path instead of falling back to scalar evaluation. A fixed
+// iteration count makes each row's `tuples` repeat from run to run, so
+// scripts/run_gates.sh can diff the rows once their wall-clock fields are
+// dropped.
 void BM_HotPathBatched(benchmark::State& state) {
   RunHotPath(state, static_cast<int>(state.range(0)), state.range(1) != 0,
              static_cast<int>(state.range(2)),
@@ -231,6 +234,7 @@ void BM_HotPathBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_HotPathBatched)
     ->ArgNames({"width", "str", "fanout", "batch"})
+    ->Iterations(10)
     ->Args({4, 0, 1, 1})
     ->Args({4, 0, 1, 8})
     ->Args({4, 0, 1, 64})

@@ -16,6 +16,8 @@
 #   - the same-seed (seed 7) obs_*.json dumps of bench_fault_recovery,
 #     bench_transport (TupleTrain|CreditFlow), bench_load_balancing,
 #     bench_storage and bench_hot_path, one directory each;
+#   - hot_path_batched_rows.txt: the rows of bench_hot_path's batched sweep
+#     (BENCH_hotpath_batched.json) without their wall-clock fields;
 #   - medusa_economy_counters.txt: the bench_medusa_economy counters;
 #   - hot_path_goldens.sha256 and hot_path_golden_test.txt: the goldens file
 #     of hot_path_golden_test and the test's verdict;
@@ -119,6 +121,15 @@ for row in json.load(sys.stdin)["benchmarks"]:
                                 sorted(row.items()) if k not in wall))
 ' >"$out/medusa_economy_counters.txt" ||
   fail "$out/medusa_economy_counters.txt"
+# The batched sweep runs a fixed iteration count, so its config axes and
+# tuple counts repeat; its timings do not.
+python3 -c '
+import json, sys
+wall = {"tuples_per_sec", "ns_per_tuple"}
+for row in json.load(open(sys.argv[1]))["rows"]:
+    print(" ".join("%s=%r" % (k, v) for k, v in row.items() if k not in wall))
+' "$out/hot_path/BENCH_hotpath_batched.json" \
+  >"$out/hot_path_batched_rows.txt" || fail "$out/hot_path_batched_rows.txt"
 # Only the deterministic dumps stay in the bench and flight directories.
 find "$out" -mindepth 2 -type f ! -name 'obs_*.json' -delete
 

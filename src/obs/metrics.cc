@@ -37,21 +37,6 @@ double LatencyHistogram::BucketHi(size_t idx) const {
   return min_bound_ * std::pow(growth_, static_cast<double>(idx));
 }
 
-void LatencyHistogram::Record(double v) {
-  if (std::isnan(v)) return;
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  count_++;
-  sum_ += v;
-  size_t idx = BucketIndex(v);
-  if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0);
-  buckets_[idx]++;
-}
-
 void LatencyHistogram::RecordN(double v, uint64_t n) {
   if (n == 0 || std::isnan(v)) return;
   if (count_ == 0) {
@@ -65,9 +50,12 @@ void LatencyHistogram::RecordN(double v, uint64_t n) {
   // individual Record calls would, keeping batched and scalar runs
   // byte-identical in every dumped stat.
   for (uint64_t i = 0; i < n; ++i) sum_ += v;
-  size_t idx = BucketIndex(v);
-  if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0);
-  buckets_[idx] += n;
+  if (v != last_value_) {
+    last_value_ = v;
+    last_bucket_ = BucketIndex(v);
+  }
+  if (last_bucket_ >= buckets_.size()) buckets_.resize(last_bucket_ + 1, 0);
+  buckets_[last_bucket_] += n;
 }
 
 double LatencyHistogram::Quantile(double q) const {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,7 +77,7 @@ class LatencyHistogram {
  public:
   explicit LatencyHistogram(double min_bound = 1e-3, double growth = 1.15);
 
-  void Record(double v);
+  void Record(double v) { RecordN(v, 1); }
   /// Exactly equivalent to calling Record(v) `n` times, with the log-based
   /// bucket search done once. The sum still accumulates term by term, so
   /// every derived stat (mean, quantiles, dump bytes) stays bit-identical
@@ -106,6 +107,12 @@ class LatencyHistogram {
   double min_bound_;
   double growth_;
   double inv_log_growth_;
+  /// The last value bucketed and its bucket. Samples repeat often (a box's
+  /// per-tuple cost, a chunk's queue wait), and the bucket is a pure
+  /// function of the value, so the memo skips the log without changing any
+  /// stat. NaN, which equals nothing, until the first sample.
+  double last_value_ = std::numeric_limits<double>::quiet_NaN();
+  size_t last_bucket_ = 0;
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   double sum_ = 0.0;

@@ -40,11 +40,10 @@ void JoinOp::ExpireOld(SimTime now) {
 
 void JoinOp::EmitJoined(const Tuple& left, const Tuple& right,
                         Emitter* emitter) {
-  const std::span<const Value> l = left.values();
-  const std::span<const Value> r = right.values();
-  out_scratch_.assign(l.begin(), l.end());
-  out_scratch_.insert(out_scratch_.end(), r.begin(), r.end());
-  Tuple out(output_schema(0), std::span<Value>(out_scratch_));
+  Tuple::Builder row(output_schema(0), left.num_values() + right.num_values());
+  for (const Value& v : left.values()) row.Append(v);
+  for (const Value& v : right.values()) row.Append(v);
+  Tuple out = row.Finish();
   out.set_timestamp(std::min(left.timestamp(), right.timestamp()));
   // Lineage is well-defined only when both sides share a sequence space
   // (same upstream server); otherwise leave it unset — the HA manager

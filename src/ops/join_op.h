@@ -51,8 +51,6 @@ class JoinOp : public Operator {
   /// Memoized probe scratch for ProcessBatchImpl: positions in the
   /// opposite buffer matched by the previous probe tuple.
   std::vector<size_t> match_scratch_;
-  /// Row of the joined tuple being built; its values move into the tuple.
-  std::vector<Value> out_scratch_;
 };
 
 }  // namespace aurora

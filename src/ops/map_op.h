@@ -25,20 +25,26 @@ class MapOp : public Operator {
                           BatchEmitter* emitter) override;
 
  private:
+  /// Marks a row built without batch columns (the scalar path).
+  static constexpr size_t kNoColumns = static_cast<size_t>(-1);
+
+  /// Builds the output row for `t` straight into its block. When `bound`
+  /// (t carries input_schema(0) itself), bare field references copy the
+  /// field at their Init-bound index; when `col_row` names a batch row,
+  /// columnar projections read it from col_scratch_; every other
+  /// projection goes through Expr::Eval, which rebinds to t's schema. A
+  /// failing projection abandons the row.
+  Result<Tuple> Project(const Tuple& t, bool bound, size_t col_row);
+
+  /// Per projection: the input_schema(0) index of a bare field reference,
+  /// or -1 for a computed projection. Bound once at Init.
+  std::vector<int> ident_;
   /// Per-batch scratch: one int64 column per vectorizable projection plus
-  /// a flag vector saying which projections took the columnar path, and a
-  /// per-projection identity index (>= 0 when the projection is a bare
-  /// field reference — copied straight out of the tuple, any value type
-  /// including strings, no per-tuple Eval dispatch). Member to keep
-  /// capacity warm across activations; a box instance never runs two
-  /// activations concurrently.
+  /// a flag vector saying which projections took the columnar path. Member
+  /// to keep capacity warm across activations; a box instance never runs
+  /// two activations concurrently.
   std::vector<std::vector<int64_t>> col_scratch_;
   std::vector<uint8_t> fast_;
-  std::vector<int> ident_;
-  /// Row of the output tuple being built; its values move into the tuple,
-  /// so one buffer serves every output. Never read after the Emit call, so
-  /// an emission that re-enters this box cannot disturb it.
-  std::vector<Value> out_scratch_;
 };
 
 }  // namespace aurora

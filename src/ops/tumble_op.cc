@@ -42,9 +42,10 @@ const std::vector<Value>& TumbleOp::KeyOf(const Tuple& t) {
 
 void TumbleOp::EmitWindow(const std::vector<Value>& key, const Window& w,
                           Emitter* emitter) {
-  out_scratch_.assign(key.begin(), key.end());
-  out_scratch_.push_back(w.agg->Final());
-  Tuple out(output_schema(0), std::span<Value>(out_scratch_));
+  Tuple::Builder row(output_schema(0), key.size() + 1);
+  for (const Value& v : key) row.Append(v);
+  row.Append(w.agg->Final());
+  Tuple out = row.Finish();
   out.set_timestamp(w.start_ts);
   // HA lineage: the window result depends on all window tuples; stamp the
   // earliest so downstream dependency tracking stays conservative.

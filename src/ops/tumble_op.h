@@ -73,8 +73,6 @@ class TumbleOp : public Operator {
   GroupKeyMap<Window> open_;
 
   std::vector<Value> key_scratch_;
-  /// Row of the window result being built; its values move into the tuple.
-  std::vector<Value> out_scratch_;
   std::unique_ptr<AggregateFunction> proto_agg_;
 };
 

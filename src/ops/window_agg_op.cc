@@ -55,9 +55,10 @@ void WindowAggOp::StepGroup(const std::vector<Value>& stored_key,
   auto agg = proto_agg_->Clone();
   agg->Reset();
   for (const auto& buffered : g.buffer) agg->Update(buffered.value(agg_index_));
-  out_scratch_.assign(stored_key.begin(), stored_key.end());
-  out_scratch_.push_back(agg->Final());
-  Tuple out(output_schema(0), std::span<Value>(out_scratch_));
+  Tuple::Builder row(output_schema(0), stored_key.size() + 1);
+  for (const Value& v : stored_key) row.Append(v);
+  row.Append(agg->Final());
+  Tuple out = row.Finish();
   out.set_timestamp(g.buffer.front().timestamp());
   SeqNo min_seq = kNoSeqNo;
   for (const auto& buffered : g.buffer) {

@@ -65,8 +65,6 @@ class WindowAggOp : public Operator {
   // (StatefulDependency's min over all buffered seqs) is order-independent.
   GroupKeyMap<GroupState> groups_;
   std::vector<Value> key_scratch_;
-  /// Row of the window result being built; its values move into the tuple.
-  std::vector<Value> out_scratch_;
   std::unique_ptr<AggregateFunction> proto_agg_;
 };
 

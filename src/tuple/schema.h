@@ -40,7 +40,12 @@ class Schema {
   Result<size_t> IndexOf(const std::string& name) const;
   bool HasField(const std::string& name) const;
 
-  bool Equals(const Schema& other) const { return fields_ == other.fields_; }
+  /// Same object, or the same fields in the same order. The identity test
+  /// comes first: every pushed tuple is checked against its port's schema,
+  /// and it almost always carries that very object.
+  bool Equals(const Schema& other) const {
+    return this == &other || fields_ == other.fields_;
+  }
 
   /// Schema with `extra` appended; used by aggregate operators that emit
   /// (groupby attrs..., Result).

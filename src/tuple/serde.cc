@@ -158,12 +158,15 @@ Result<Tuple> Decoder::GetTuple(const SchemaPtr& schema) {
   AURORA_ASSIGN_OR_RETURN(uint64_t seq, GetU64());
   AURORA_ASSIGN_OR_RETURN(uint64_t trace_id, GetU64());
   AURORA_ASSIGN_OR_RETURN(uint16_t count, GetU16());
-  values_scratch_.clear();
+  // Every value takes at least its 1-byte tag, so no honest count exceeds
+  // the bytes left; a hostile one must not size the allocation.
+  AURORA_RETURN_NOT_OK(Need(count));
+  Tuple::Builder row(schema, count);
   for (uint16_t i = 0; i < count; ++i) {
     AURORA_ASSIGN_OR_RETURN(Value v, GetValue());
-    values_scratch_.push_back(std::move(v));
+    row.Append(std::move(v));
   }
-  Tuple t(schema, std::span<Value>(values_scratch_));
+  Tuple t = row.Finish();
   t.set_timestamp(SimTime::Micros(ts));
   t.set_seq(seq);
   t.set_trace_id(trace_id);

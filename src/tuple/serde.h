@@ -78,6 +78,8 @@ class Decoder {
 
   Result<Value> GetValue();
   /// Decodes a tuple; the schema is attached but not re-validated per tuple.
+  /// A value count larger than the bytes left fails with OutOfRange before
+  /// anything is allocated.
   Result<Tuple> GetTuple(const SchemaPtr& schema);
   Result<SchemaPtr> GetSchema();
 
@@ -90,9 +92,6 @@ class Decoder {
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
-  /// Row of the tuple GetTuple is decoding; its values move into the tuple,
-  /// so a batch decode reuses one buffer.
-  std::vector<Value> values_scratch_;
 };
 
 /// Round-trip helpers used by tests and the transport layer.

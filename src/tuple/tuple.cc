@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <new>
-#include <type_traits>
 
 #include "common/logging.h"
 
@@ -22,17 +21,16 @@ Tuple::Body* Tuple::Allocate(SchemaPtr schema, size_t n) {
                         std::move(schema)};
 }
 
-void Tuple::Destroy(Body* body) noexcept {
-  std::destroy_n(body->values(), body->count);
+void Tuple::Destroy(Body* body, size_t built) noexcept {
+  std::destroy_n(body->values(), built);
   body->~Body();
   ::operator delete(body);
 }
 
-Tuple::Tuple(SchemaPtr schema, std::span<Value> values)
-    : body_(Allocate(std::move(schema), values.size())) {
-  static_assert(std::is_nothrow_move_constructible_v<Value>,
-                "moving the values in cannot fail halfway");
-  std::uninitialized_move(values.begin(), values.end(), body_->values());
+Tuple::Tuple(SchemaPtr schema, std::vector<Value> values) {
+  Builder row(std::move(schema), values.size());
+  for (Value& v : values) row.Append(std::move(v));
+  *this = row.Finish();
 }
 
 const Value& Tuple::Get(const std::string& field_name) const {
@@ -52,17 +50,10 @@ Tuple::Body* Tuple::DetachBody() {
   // Acquire pairs with the release half of other handles' drops, so their
   // reads of the values happen before this handle writes them in place.
   if (body_->refs.load(std::memory_order_acquire) != 1) {
-    Body* copy = Allocate(body_->schema, body_->count);
-    try {
-      std::uninitialized_copy_n(body_->values(), body_->count, copy->values());
-    } catch (...) {
-      // uninitialized_copy_n already destroyed the values it had built.
-      copy->~Body();
-      ::operator delete(copy);
-      throw;
-    }
-    Release(body_);
-    body_ = copy;
+    Builder copy(body_->schema, body_->count);
+    for (const Value& v : values()) copy.Append(v);
+    Tuple fresh = copy.Finish();
+    std::swap(body_, fresh.body_);  // `fresh` drops this handle's share
   }
   body_->wire_values.store(kUnknownWire, std::memory_order_relaxed);
   return body_;

@@ -141,10 +141,9 @@ StreamGenerator::StreamGenerator(SchemaPtr schema,
 }
 
 Tuple StreamGenerator::Next(SimTime now) {
-  std::vector<Value> values;
-  values.reserve(gens_.size());
-  for (auto& g : gens_) values.push_back(g->Next(&rng_));
-  Tuple t(schema_, std::move(values));
+  Tuple::Builder row(schema_, gens_.size());
+  for (auto& g : gens_) row.Append(g->Next(&rng_));
+  Tuple t = row.Finish();
   t.set_timestamp(now);
   return t;
 }

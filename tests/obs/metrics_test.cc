@@ -62,6 +62,32 @@ TEST(LatencyHistogramTest, EmptyAndReset) {
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
 }
 
+// Record and RecordN remember the last value's bucket. Values alternating
+// between two buckets and one below min_bound must still land in their own
+// buckets. With min_bound 1 and growth 2, bucket 0 holds [0, 1), 5 falls in
+// [4, 8) and 40 in [32, 64).
+TEST(LatencyHistogramTest, AlternatingValuesKeepTheirBuckets) {
+  LatencyHistogram h(1.0, 2.0);
+  h.Record(5.0);
+  h.Record(40.0);
+  h.RecordN(5.0, 100);
+  h.Record(0.5);
+  h.RecordN(40.0, 98);
+  h.Record(5.0);
+  h.RecordN(0.5, 2);
+  h.Record(40.0);
+  EXPECT_EQ(h.count(), 205u);  // 3 x 0.5, 102 x 5, 100 x 40
+  EXPECT_DOUBLE_EQ(h.sum(), 1.5 + 510.0 + 4000.0);
+  EXPECT_EQ(h.min(), 0.5);
+  EXPECT_EQ(h.max(), 40.0);
+  // p50 is rank 103: the 100th of the 102 values in [4, 8).
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 4.0 + 4.0 * (100.0 / 102.0));
+  // p99 is rank 203: the 98th of the 100 values in [32, 64).
+  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 40.0);  // 32 + 32 * 0.98, clamped to max
+  // p1 is rank 3: the last of the 3 values below min_bound.
+  EXPECT_DOUBLE_EQ(h.Quantile(0.01), 1.0);
+}
+
 TEST(MetricsRegistryTest, RegistrationReturnsStablePointers) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   Counter* c1 = reg.GetCounter("test.reg.counter");

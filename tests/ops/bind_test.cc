@@ -13,6 +13,7 @@
 namespace aurora {
 namespace {
 
+using testing_util::CollectingEmitter;
 using testing_util::SchemaAB;
 
 Tuple T(int64_t a, int64_t b) {
@@ -115,6 +116,58 @@ TEST(BindTest, MapOpInitFailsOnMissingExprField) {
   OperatorSpec spec = MapSpec({{"Out", Expr::FieldRef("Missing")}});
   ASSERT_OK_AND_ASSIGN(OperatorPtr op, CreateOperator(spec));
   EXPECT_TRUE(op->Init({SchemaAB()}).IsNotFound());
+}
+
+/// Map's rows, one ToString each, for five (A, S) tuples built on `rows`
+/// and fed to a Map initialized on `init`, per tuple or as one batch.
+std::vector<std::string> MapRows(const OperatorSpec& spec,
+                                 const SchemaPtr& init, const SchemaPtr& rows,
+                                 bool batched) {
+  auto op = std::move(CreateOperator(spec)).ValueUnsafe();
+  EXPECT_OK(op->Init({init}));
+  std::vector<Tuple> in;
+  for (int64_t i = 0; i < 5; ++i) {
+    in.push_back(MakeTuple(
+        rows, {Value(i), Value("row " + std::to_string(i) +
+                               ", a string past the inline buffer")}));
+  }
+  CollectingEmitter emitter;
+  if (batched) {
+    TupleBatch batch;
+    for (const Tuple& t : in) batch.Push(t, SimTime());
+    EXPECT_OK(op->ProcessBatch(0, batch, &emitter));
+  } else {
+    for (const Tuple& t : in) EXPECT_OK(op->Process(0, t, SimTime(), &emitter));
+  }
+  std::vector<std::string> out;
+  for (const Tuple& t : emitter.OnOutput(0)) out.push_back(t.ToString());
+  return out;
+}
+
+// Map copies a field at its Init-bound index only for tuples that carry the
+// schema object it was initialized on. Tuples on an equal but distinct
+// schema object go through Eval, and both paths give the same rows.
+TEST(BindTest, MapRowsMatchOnAnEqualSchemaObject) {
+  auto make = [] {
+    return Schema::Make({Field{"A", ValueType::kInt64},
+                         Field{"S", ValueType::kString}});
+  };
+  SchemaPtr bound = make();
+  SchemaPtr equal = make();
+  ASSERT_NE(bound, equal);
+  OperatorSpec spec = MapSpec(
+      {{"S", Expr::FieldRef("S")},
+       {"A", Expr::FieldRef("A")},
+       {"D", Expr::Arith(ArithOp::kMul, Expr::FieldRef("A"),
+                         Expr::Constant(Value(int64_t{2})))}});
+  const std::vector<std::string> expected = MapRows(spec, bound, bound, false);
+  ASSERT_EQ(expected.size(), 5u);
+  EXPECT_NE(expected[3].find("row 3"), std::string::npos) << expected[3];
+  EXPECT_NE(expected[3].find("A=3"), std::string::npos) << expected[3];
+  EXPECT_NE(expected[3].find("D=6"), std::string::npos) << expected[3];
+  EXPECT_EQ(MapRows(spec, bound, equal, false), expected);
+  EXPECT_EQ(MapRows(spec, bound, bound, true), expected);
+  EXPECT_EQ(MapRows(spec, bound, equal, true), expected);
 }
 
 }  // namespace

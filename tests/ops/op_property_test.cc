@@ -529,6 +529,25 @@ std::vector<Tuple> BatchStream(uint64_t seed, int n, int64_t a_range,
   return tuples;
 }
 
+/// BatchStream's rows with a third field S, a string longer than the
+/// small-string buffer, built on `schema` (A, B, S) itself so a Map
+/// initialized on it copies its bound fields.
+std::vector<Tuple> TextBatchStream(const SchemaPtr& schema, uint64_t seed,
+                                   int n, int64_t b_lo, int64_t b_hi) {
+  std::vector<Tuple> tuples;
+  for (const Tuple& ab : BatchStream(seed, n, 50, b_lo, b_hi)) {
+    Tuple t = MakeTuple(
+        schema, {ab.value(0), ab.value(1),
+                 Value("a string field past the inline buffer, row " +
+                       std::to_string(ab.seq()))});
+    t.set_seq(ab.seq());
+    t.set_timestamp(ab.timestamp());
+    t.set_trace_id(ab.trace_id());
+    tuples.push_back(std::move(t));
+  }
+  return tuples;
+}
+
 struct BatchOpCase {
   const char* name;
   uint64_t seed;
@@ -623,6 +642,22 @@ TEST_P(BatchOracleTest, MapDivFallbackWithErrors) {
                                      Expr::FieldRef("B")));
   CheckAllBatchSizes(MapSpec(std::move(proj)), SchemaAB(),
                      BatchStream(c.seed + 5, c.n, 50, 0, 3), false);
+}
+
+TEST_P(BatchOracleTest, MapBoundFieldsThenFailingDivision) {
+  const auto& c = GetParam();
+  // The bound field copies (one a heap string) come first, so every zero
+  // divisor abandons a half-built row, at every batch size.
+  SchemaPtr schema = Schema::Make({Field{"A", ValueType::kInt64},
+                                   Field{"B", ValueType::kInt64},
+                                   Field{"S", ValueType::kString}});
+  std::vector<std::pair<std::string, Expr>> proj;
+  proj.emplace_back("A", Expr::FieldRef("A"));
+  proj.emplace_back("S", Expr::FieldRef("S"));
+  proj.emplace_back("Q", Expr::Arith(ArithOp::kDiv, Expr::FieldRef("A"),
+                                     Expr::FieldRef("B")));
+  CheckAllBatchSizes(MapSpec(std::move(proj)), schema,
+                     TextBatchStream(schema, c.seed + 13, c.n, 0, 3), false);
 }
 
 TEST_P(BatchOracleTest, TumbleRunBased) {

@@ -145,29 +145,33 @@ TEST(TupleBodyTest, MutableValuesMutatesUniqueBodyInPlaceAndDetachesShared) {
   EXPECT_EQ(t.WireSize(), wire + 8);  // the cache was reset on detach
 }
 
-TEST(TupleBodyTest, SpanConstructorLeavesCallerScratchReusable) {
+TEST(TupleBuilderTest, AppendedValuesLandInOrder) {
   SchemaPtr schema = SchemaABS();
-  std::vector<Value> scratch = {Value(int64_t{1}), Value(int64_t{2}),
-                                Value("first")};
-  const Value* storage = scratch.data();
-  Tuple a(schema, std::span<Value>(scratch));
-  // The caller keeps its buffer; the tuple owns the values.
-  EXPECT_EQ(scratch.size(), 3u);
-  EXPECT_EQ(scratch.data(), storage);
-  EXPECT_NE(&a.value(0), storage);
-  scratch.clear();
-  scratch.emplace_back(int64_t{3});
-  scratch.emplace_back(int64_t{4});
-  scratch.emplace_back("second");
-  EXPECT_EQ(scratch.data(), storage);  // refilled without reallocating
-  Tuple b(schema, std::span<Value>(scratch));
-  EXPECT_EQ(a.value(0).AsInt(), 1);
-  EXPECT_EQ(a.value(2).AsString(), "first");
-  EXPECT_EQ(b.value(0).AsInt(), 3);
-  EXPECT_EQ(b.value(2).AsString(), "second");
-  EXPECT_FALSE(a.SharesBodyWith(b));
-  EXPECT_TRUE(b.ValuesEqual(T(3, 4, "second")));
-  EXPECT_EQ(b.WireSize(), T(3, 4, "second").WireSize());
+  const Value text("longer than the small-string buffer");
+  Tuple::Builder row(schema, 3);
+  row.Append(int64_t{3});
+  row.Append(Value(int64_t{4}));
+  row.Append(text);  // copied: the caller keeps its value
+  Tuple t = row.Finish();
+  EXPECT_EQ(t.schema(), schema);
+  ASSERT_EQ(t.num_values(), 3u);
+  EXPECT_EQ(t.value(0).AsInt(), 3);
+  EXPECT_EQ(t.value(1).AsInt(), 4);
+  EXPECT_EQ(t.value(2).AsString(), text.AsString());
+  EXPECT_EQ(text.AsString(), "longer than the small-string buffer");
+  EXPECT_EQ(t.timestamp(), SimTime());
+  EXPECT_EQ(t.seq(), kNoSeqNo);
+  EXPECT_EQ(t.trace_id(), 0u);
+  EXPECT_TRUE(t.ValuesEqual(T(3, 4, text.AsString())));
+}
+
+TEST(TupleBuilderTest, WireSizeMatchesMakeTuple) {
+  Tuple::Builder row(SchemaABS(), 3);
+  row.Append(int64_t{1});
+  row.Append(int64_t{2});
+  row.Append(std::string("wire"));
+  Tuple built = row.Finish();
+  EXPECT_EQ(built.WireSize(), T(1, 2, "wire").WireSize());
 }
 
 TEST(TupleBodyTest, EmptyRowStillCarriesItsSchema) {

@@ -135,6 +135,22 @@ TEST(SerdeTest, HostileCountDoesNotSizeTheAllocation) {
   EXPECT_LE(out.capacity(), bytes.size());
 }
 
+// The value count in a row header comes off the wire too: 65 535 claimed
+// values with 3 bytes left fail at the count, before the row's block is
+// allocated or any value decoded (alloc_count_test checks the allocation).
+TEST(SerdeTest, HostileValueCountFailsBeforeDecodingAValue) {
+  Encoder enc;
+  enc.PutI64(1);  // timestamp
+  enc.PutU64(2);  // seq
+  enc.PutU64(3);  // trace id
+  enc.PutU16(0xffff);
+  enc.PutBytes(reinterpret_cast<const uint8_t*>("abc"), 3);
+  Decoder dec(enc.buffer());
+  Result<Tuple> t = dec.GetTuple(SchemaAB());
+  EXPECT_TRUE(t.status().IsOutOfRange()) << t.status().ToString();
+  EXPECT_EQ(dec.remaining(), 3u);
+}
+
 TEST(SerdeTest, BadValueTagIsError) {
   Encoder enc;
   enc.PutU8(200);  // not a ValueType
@@ -159,6 +175,16 @@ TEST(SchemaTest, IndexOfAndProject) {
   EXPECT_EQ(proj->num_fields(), 1u);
   EXPECT_EQ(proj->field(0).name, "B");
   EXPECT_TRUE(s->Project({"B", "Q"}).status().IsNotFound());
+}
+
+TEST(SchemaTest, EqualsIsIdentityOrSameFields) {
+  SchemaPtr s = SchemaAB();
+  EXPECT_TRUE(s->Equals(*s));            // the same object
+  EXPECT_TRUE(s->Equals(*SchemaAB()));   // equal, distinct objects
+  EXPECT_FALSE(s->Equals(*s->AddField(Field{"C", ValueType::kInt64})));
+  SchemaPtr ba = Schema::Make(
+      {Field{"B", ValueType::kInt64}, Field{"A", ValueType::kInt64}});
+  EXPECT_FALSE(s->Equals(*ba));  // order matters
 }
 
 TEST(SchemaTest, AddFieldCreatesNewSchema) {
