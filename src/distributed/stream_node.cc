@@ -600,14 +600,9 @@ size_t StreamNode::OutputLogSize(const std::string& stream) const {
   return binding == nullptr ? 0 : binding->output_log.size();
 }
 
-SeqNo StreamNode::LastReceivedSeq(const std::string& input_name) const {
-  auto port = engine_.FindInput(input_name);
-  SeqNo last = kNoSeqNo;
-  if (!port.ok()) return last;
-  for (const auto& [stream, in] : incoming_) {
-    if (in.input_port == *port) last = std::max(last, in.last_seq);
-  }
-  return last;
+SeqNo StreamNode::LastReceivedSeq(const std::string& stream) const {
+  auto it = incoming_.find(stream);
+  return it == incoming_.end() ? kNoSeqNo : it->second.last_seq;
 }
 
 }  // namespace aurora

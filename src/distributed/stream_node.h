@@ -209,9 +209,11 @@ class StreamNode {
   /// the oldest *input* tuple this node's unconfirmed outputs still depend
   /// on. kNoSeqNo when nothing is retained.
   SeqNo UnconfirmedOutputMinLineage() const;
-  /// Highest sequence number received so far on the named engine input:
-  /// the largest over the incoming streams that feed it.
-  SeqNo LastReceivedSeq(const std::string& input_name) const;
+  /// Highest sequence number delivered so far on the named incoming stream
+  /// (its dedup watermark); kNoSeqNo for a stream never bound here. Each
+  /// stream numbers its tuples from 1, so watermarks of two streams into
+  /// one input do not compare.
+  SeqNo LastReceivedSeq(const std::string& stream) const;
 
   // ---- Statistics ---------------------------------------------------------
 

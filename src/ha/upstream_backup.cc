@@ -1,5 +1,6 @@
 #include "ha/upstream_backup.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "obs/trace.h"
@@ -93,9 +94,12 @@ void HaManager::RunCheckpointRound() {
       if (!binding.retain_log) continue;
       StreamNode& dst_node = *binding.dst;
       if (!dst_node.up()) continue;
+      // `needed` is per input, a minimum over every stream that feeds it;
+      // each binding numbers its own stream from 1, so the receiver's
+      // watermark for this stream caps what may be discarded.
       SeqNo needed = ComputeEarliestNeeded(dst_node, binding.remote_input);
-      SeqNo last = dst_node.LastReceivedSeq(binding.remote_input);
-      SeqNo upto = (needed == kNoSeqNo) ? last : needed - 1;
+      SeqNo last = dst_node.LastReceivedSeq(binding.stream);
+      SeqNo upto = (needed == kNoSeqNo) ? last : std::min(needed - 1, last);
       if (upto == 0) continue;
       std::string stream = binding.stream;
       // Charge protocol messages on the overlay. Flow messages: one back-

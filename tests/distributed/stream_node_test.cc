@@ -65,7 +65,7 @@ TEST_F(StreamNodeTest, SequenceNumbersAreMonotonePerStream) {
     EXPECT_EQ(received_[i].seq(), i + 1);  // §6.2: monotonically increasing
     EXPECT_EQ(GetInt(received_[i], "A"), static_cast<int64_t>(i));
   }
-  EXPECT_EQ(system_->node(b_).LastReceivedSeq("xin"), 20u);
+  EXPECT_EQ(system_->node(b_).LastReceivedSeq(stream_), 20u);
 }
 
 TEST_F(StreamNodeTest, BindingStatsTrackTraffic) {
@@ -292,8 +292,8 @@ TEST_F(StreamNameTest, TwoNodesCannotBindOneStreamNameIntoOnePeer) {
   EXPECT_EQ(node(c_).duplicate_tuples_dropped(), 0u);
 }
 
-// Two streams into one input each number their tuples from 1; dedup is per
-// stream, and the input's last received sequence is the larger watermark.
+// Two streams into one input each number their tuples from 1; dedup and the
+// last received sequence are per stream.
 TEST_F(StreamNameTest, DistinctStreamsIntoOneInputKeepTheirOwnSequences) {
   ASSERT_OK(node(a_).BindRemoteOutput("out1", &node(c_), "in", "sa"));
   ASSERT_OK(node(b_).BindRemoteOutput("out1", &node(c_), "in", "sb"));
@@ -301,7 +301,8 @@ TEST_F(StreamNameTest, DistinctStreamsIntoOneInputKeepTheirOwnSequences) {
   Inject(b_, 4);
   EXPECT_EQ(received_, 14u);
   EXPECT_EQ(node(c_).duplicate_tuples_dropped(), 0u);
-  EXPECT_EQ(node(c_).LastReceivedSeq("in"), 10u);
+  EXPECT_EQ(node(c_).LastReceivedSeq("sa"), 10u);
+  EXPECT_EQ(node(c_).LastReceivedSeq("sb"), 4u);
 }
 
 TEST_F(StreamNodeTest, BindingToMissingRemoteInputRejected) {

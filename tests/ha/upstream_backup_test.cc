@@ -217,5 +217,44 @@ TEST_F(HaTest, EarliestNeededTracksStatefulWindows) {
   EXPECT_GE(system_->node(s2_).OutputLogSize(binding.stream), 10u);
 }
 
+// Two bindings feed s3's one input, s1 -> s3 as "sa" and s2 -> s3 as "sb",
+// and each numbers its own stream from 1. With every s2 -> s3 frame
+// dropped, s3 receives s1's ten tuples and none of s2's, so a checkpoint
+// must keep s2's whole log: s3's watermark on "sa" says nothing about "sb".
+TEST_F(HaTest, CheckpointKeepsTuplesTheReceiverNeverGot) {
+  for (NodeId id : {s1_, s2_, s3_}) {
+    AuroraEngine& e = system_->node(id).engine();
+    PortId in = *e.AddInput("in", SchemaAB());
+    PortId out = *e.AddOutput("out");
+    ASSERT_OK(e.Connect(Endpoint::InputPort(in), Endpoint::OutputPort(out))
+                  .status());
+  }
+  size_t received = 0;
+  ASSERT_OK(system_->CollectOutput(
+      s3_, "out", [&received](const Tuple&, SimTime) { ++received; }));
+  ASSERT_OK(system_->node(s1_).BindRemoteOutput("out", &system_->node(s3_),
+                                                "in", "sa"));
+  ASSERT_OK(system_->node(s2_).BindRemoteOutput("out", &system_->node(s3_),
+                                                "in", "sb"));
+  ASSERT_OK(net_->SetLinkPerturbation(s2_, s3_, LinkPerturbation{.drop_p = 1}));
+  HaManager ha(system_.get(), HaOptions{});
+  ASSERT_OK(ha.Protect(nullptr, nullptr));
+
+  for (int i = 0; i < 10; ++i) {
+    for (NodeId id : {s1_, s2_}) {
+      ASSERT_OK(system_->node(id).Inject(
+          "in", MakeTuple(SchemaAB(), {Value(i), Value(0)})));
+    }
+  }
+  sim_.RunFor(SimDuration::Millis(500));
+
+  EXPECT_EQ(received, 10u);
+  EXPECT_EQ(system_->node(s3_).LastReceivedSeq("sa"), 10u);
+  EXPECT_EQ(system_->node(s3_).LastReceivedSeq("sb"), kNoSeqNo);
+  EXPECT_EQ(system_->node(s1_).OutputLogSize("sa"), 0u);
+  EXPECT_EQ(system_->node(s2_).OutputLogSize("sb"), 10u);
+  EXPECT_EQ(ha.truncated_tuples(), 10u);
+}
+
 }  // namespace
 }  // namespace aurora
