@@ -15,7 +15,8 @@
 #     and --batch 8, without their scheduling-dependent `workers=` lines;
 #   - the same-seed (seed 7) obs_*.json dumps of bench_fault_recovery,
 #     bench_transport (TupleTrain|CreditFlow), bench_load_balancing,
-#     bench_storage and bench_hot_path, one directory each;
+#     bench_storage, bench_hot_path and bench_scheduler (train sizes,
+#     train depths and tuple-at-a-time), one directory each;
 #   - hot_path_batched_rows.txt: the rows of bench_hot_path's batched sweep
 #     (BENCH_hotpath_batched.json) without their wall-clock fields;
 #   - medusa_economy_counters.txt: the bench_medusa_economy counters;
@@ -54,7 +55,7 @@ echo "run_gates: building $src (log: $log)" >&2
 if ! { cmake -S "$src" -B "$b" -DCMAKE_BUILD_TYPE=Release &&
        cmake --build "$b" -j "$(nproc)" --target simcheck \
          bench_fault_recovery bench_transport bench_load_balancing \
-         bench_storage bench_hot_path bench_medusa_economy \
+         bench_storage bench_hot_path bench_scheduler bench_medusa_economy \
          check_hot_path_golden_test &&
        cmake -S "$src/perfsuite" -B "$bb" -DCMAKE_BUILD_TYPE=Release &&
        cmake --build "$bb" -j "$(nproc)" --target aurora_bench
@@ -108,6 +109,8 @@ bench load_balancing "$b/bench/bench_load_balancing" --seed 7 --iters 1 \
   --benchmark_min_time=0.001
 bench storage "$b/bench/bench_storage" --seed 7 --iters 1
 bench hot_path "$b/bench/bench_hot_path" --seed 7 --iters small \
+  --benchmark_min_time=0.001
+bench scheduler "$b/bench/bench_scheduler" --seed 7 --iters 1 \
   --benchmark_min_time=0.001
 # Counters only: the timing fields of the JSON report vary run to run.
 "$b/bench/bench_medusa_economy" --seed 7 --iters 1 --benchmark_format=json |

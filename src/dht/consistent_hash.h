@@ -31,7 +31,6 @@ class ConsistentHashRing {
 
   Status AddNode(NodeId node, const std::string& name);
   Status RemoveNode(NodeId node);
-  bool HasNode(NodeId node) const { return node_names_.count(node) > 0; }
   size_t num_nodes() const { return node_names_.size(); }
 
   /// Owner of a key: the first virtual node at or after hash(key).

@@ -53,7 +53,6 @@ Result<BoxId> AuroraEngine::AddBox(const OperatorSpec& spec) {
 Result<ArcId> AuroraEngine::Connect(Endpoint from, Endpoint to) {
   AURORA_ASSIGN_OR_RETURN(ArcId id, net_.Connect(from, to));
   arcs_.emplace_back();
-  RebuildScheduler();
   return id;
 }
 
@@ -62,10 +61,7 @@ bool AuroraEngine::IsBoxInitialized(BoxId box) const {
 }
 
 Status AuroraEngine::InitializeBoxes(bool require_all) {
-  Status st = net_.InitializeBoxes(require_all);
-  // Newly initialized boxes may already hold queued input.
-  RebuildScheduler();
-  return st;
+  return net_.InitializeBoxes(require_all);
 }
 
 Status AuroraEngine::MakeConnectionPoint(ArcId arc, const std::string& name,
@@ -220,7 +216,6 @@ Status AuroraEngine::DisconnectArc(ArcId arc) {
     it = (it->second == arc) ? connection_points_.erase(it) : std::next(it);
   }
   a->cp.reset();
-  RebuildScheduler();
   return Status::OK();
 }
 
@@ -233,7 +228,8 @@ Result<std::vector<Tuple>> AuroraEngine::TakeArcQueue(ArcId arc) {
   if (a == nullptr) return Status::InvalidArgument("bad arc id");
   std::vector<Tuple> out;
   out.reserve(a->queue.size());
-  while (!a->queue.empty()) out.push_back(ArcDequeue(arc));
+  while (!a->queue.empty()) out.push_back(a->queue.Pop());
+  a->enqueue_us.clear();
   return out;
 }
 
@@ -292,44 +288,32 @@ Status AuroraEngine::SetOutputQoS(PortId output, QoSSpec spec) {
   return Status::OK();
 }
 
-void AuroraEngine::WalkDownstream(const Endpoint& from, double cost_so_far_us,
-                                  std::map<PortId, double>* outputs_cost) const {
-  for (ArcId arc : net_.ArcsFrom(from)) {
-    const Endpoint to = net_.arc(arc).to;
-    if (to.kind == Endpoint::Kind::kOutputPort) {
-      auto it = outputs_cost->find(to.id);
-      // Keep the most stringent (largest) accumulated time over paths.
-      if (it == outputs_cost->end() || it->second < cost_so_far_us) {
-        (*outputs_cost)[to.id] = cost_so_far_us;
-      }
-      continue;
+void AuroraEngine::WalkArc(ArcId arc, double cost_so_far_us,
+                           std::map<PortId, double>* outputs_cost) const {
+  const Endpoint to = net_.arc(arc).to;
+  if (to.kind == Endpoint::Kind::kOutputPort) {
+    auto it = outputs_cost->find(to.id);
+    // Keep the most stringent (largest) accumulated time over paths.
+    if (it == outputs_cost->end() || it->second < cost_so_far_us) {
+      (*outputs_cost)[to.id] = cost_so_far_us;
     }
-    const Operator& op = *net_.box(to.id).op;
-    double measured_ms = qos_.BoxTbMs(to.id);
-    double t_b_us = measured_ms > 0.0 ? measured_ms * 1000.0
-                                      : op.cost_micros_per_tuple();
-    for (int k = 0; k < op.num_outputs(); ++k) {
-      WalkDownstream(Endpoint::BoxPort(to.id, k), cost_so_far_us + t_b_us,
-                     outputs_cost);
+    return;
+  }
+  const Operator& op = *net_.box(to.id).op;
+  double measured_ms = qos_.BoxTbMs(to.id);
+  double t_b_us = measured_ms > 0.0 ? measured_ms * 1000.0
+                                    : op.cost_micros_per_tuple();
+  for (int k = 0; k < op.num_outputs(); ++k) {
+    for (ArcId next : net_.ArcsFrom(Endpoint::BoxPort(to.id, k))) {
+      WalkArc(next, cost_so_far_us + t_b_us, outputs_cost);
     }
   }
 }
 
 Result<QoSSpec> AuroraEngine::InferArcQoS(ArcId arc) const {
   if (!net_.HasArc(arc)) return Status::InvalidArgument("bad arc id");
-  const Endpoint to = net_.arc(arc).to;
   std::map<PortId, double> outputs_cost;
-  if (to.kind == Endpoint::Kind::kOutputPort) {
-    outputs_cost[to.id] = 0.0;
-  } else {
-    const Operator& op = *net_.box(to.id).op;
-    double measured_ms = qos_.BoxTbMs(to.id);
-    double t_b_us = measured_ms > 0.0 ? measured_ms * 1000.0
-                                      : op.cost_micros_per_tuple();
-    for (int k = 0; k < op.num_outputs(); ++k) {
-      WalkDownstream(Endpoint::BoxPort(to.id, k), t_b_us, &outputs_cost);
-    }
-  }
+  WalkArc(arc, 0.0, &outputs_cost);
   std::vector<QoSSpec> candidates;
   for (const auto& [port, cost_us] : outputs_cost) {
     const QoSSpec* spec = qos_.GetSpec(port);
@@ -462,24 +446,14 @@ Status AuroraEngine::PushInput(PortId input, Tuple t, SimTime now,
                      "shed:in:" + port.name, now.micros(),
                      now.micros()});
     }
-    // Attribute the drop to every output downstream of this input so the
-    // QoS monitor's delivered-fraction reflects shedding.
-    for (const auto& info : shedder_.inputs()) {
-      if (info.input != input) continue;
-      for (PortId out : info.outputs) qos_.RecordDrop(out);
-      break;
-    }
+    AttributeInputDrop(input);
     return Status::OK();
   }
   // The gate comes *after* the shedder so its arrival estimator keeps
   // seeing true offered load while the node is back-pressured.
   if (gate_ingest && ingest_blocked_) {
     m_tuples_blocked_->Add();
-    for (const auto& info : shedder_.inputs()) {
-      if (info.input != input) continue;
-      for (PortId out : info.outputs) qos_.RecordDrop(out);
-      break;
-    }
+    AttributeInputDrop(input);
     return Status::Unavailable("blocked upstream: out of downstream credit");
   }
   if (t.timestamp().micros() == 0) t.set_timestamp(now);
@@ -498,6 +472,14 @@ Status AuroraEngine::PushInput(PortId input, Tuple t, SimTime now,
   PublishRouteCounts();
   EnforceStorageBudget();
   return Status::OK();
+}
+
+void AuroraEngine::AttributeInputDrop(PortId input) {
+  for (const auto& info : shedder_.inputs()) {
+    if (info.input != input) continue;
+    for (PortId out : info.outputs) qos_.RecordDrop(out);
+    return;
+  }
 }
 
 Status AuroraEngine::PushInputByName(const std::string& name, Tuple t,
@@ -537,14 +519,28 @@ Status AuroraEngine::EnqueueOnArc(ArcId arc, Tuple t, SimTime now) {
 // ---------------------------------------------------------------------------
 
 bool AuroraEngine::BoxReady(BoxId box) const {
-  // `queued` counts consumable tuples across this box's in-arcs. A choked
-  // arc's queue remains consumable (it drains); only *new* arrivals are
-  // held — see ChokeArc — so choking does not affect readiness.
   const QueryNetwork::Box& b = net_.box(box);
-  return !b.removed && b.initialized && boxes_[box].queued > 0;
+  if (b.removed || !b.initialized) return false;
+  for (ArcId arc : b.in_arcs) {
+    if (arc >= 0 && !arcs_[arc].queue.empty()) return true;
+  }
+  return false;
 }
 
-bool AuroraEngine::HasWork() const { return ready_count_ > 0; }
+size_t AuroraEngine::QueuedTuples(BoxId box) const {
+  size_t n = 0;
+  for (ArcId arc : net_.box(box).in_arcs) {
+    if (arc >= 0) n += arcs_[arc].queue.size();
+  }
+  return n;
+}
+
+bool AuroraEngine::HasWork() const {
+  for (size_t i = 0; i < boxes_.size(); ++i) {
+    if (BoxReady(static_cast<BoxId>(i))) return true;
+  }
+  return false;
+}
 
 void AuroraEngine::ArcEnqueueChunk(ArcId arc_id, Tuple* tuples, size_t n,
                                    int64_t enqueue_us, bool may_move) {
@@ -557,87 +553,6 @@ void AuroraEngine::ArcEnqueueChunk(ArcId arc_id, Tuple* tuples, size_t n,
       arc.queue.Push(std::move(copy));
     }
     arc.enqueue_us.push_back(enqueue_us);
-  }
-  const Endpoint& to = net_.arc(arc_id).to;
-  if (to.kind == Endpoint::Kind::kBox) {
-    NoteBoxQueued(to.id, static_cast<int>(n));
-  }
-}
-
-Tuple AuroraEngine::ArcDequeue(ArcId arc_id) {
-  ArcRt& arc = arcs_[arc_id];
-  Tuple t = arc.queue.Pop();
-  arc.enqueue_us.pop_front();
-  const Endpoint& to = net_.arc(arc_id).to;
-  if (to.kind == Endpoint::Kind::kBox) NoteBoxQueued(to.id, -1);
-  return t;
-}
-
-int64_t AuroraEngine::SchedKey(BoxId box) const {
-  if (opts_.scheduler == SchedulerPolicy::kLongestQueue) {
-    return static_cast<int64_t>(boxes_[box].queued);
-  }
-  // kMinOutputDistance: nearer outputs first, so negate.
-  return -static_cast<int64_t>(net_.box(box).distance_to_output);
-}
-
-void AuroraEngine::NoteBoxQueued(BoxId box_id, int delta) {
-  BoxRt& b = boxes_[box_id];
-  bool was_ready = BoxReady(box_id);
-  b.queued = static_cast<size_t>(static_cast<int64_t>(b.queued) + delta);
-  bool now_ready = BoxReady(box_id);
-  if (now_ready && !was_ready) ready_count_++;
-  if (!now_ready && was_ready) ready_count_--;
-  if (!UsesReadyHeap()) return;
-  if (opts_.scheduler == SchedulerPolicy::kLongestQueue) {
-    // The key *is* the queue length, so every change retires the box's
-    // heap entry — but only the length at the next pick matters, so the box
-    // is reposted once then instead of once per change.
-    if (!b.dirty) {
-      b.dirty = true;
-      dirty_boxes_.push_back(box_id);
-    }
-  } else {
-    // kMinOutputDistance: the key is fixed per topology; only readiness
-    // transitions touch the heap, so draining a deep backlog is churn-free.
-    if (now_ready == was_ready) return;
-    b.sched_gen++;
-    if (now_ready) ready_heap_.push({SchedKey(box_id), box_id, b.sched_gen});
-  }
-}
-
-void AuroraEngine::RepostDirtyBoxes() {
-  for (BoxId id : dirty_boxes_) {
-    BoxRt& b = boxes_[id];
-    b.dirty = false;
-    b.sched_gen++;
-    if (BoxReady(id)) ready_heap_.push({SchedKey(id), id, b.sched_gen});
-  }
-  dirty_boxes_.clear();
-}
-
-void AuroraEngine::RebuildScheduler() {
-  for (auto& box : boxes_) {
-    box.queued = 0;
-    box.sched_gen++;
-    box.dirty = false;
-  }
-  dirty_boxes_.clear();
-  for (size_t i = 0; i < arcs_.size(); ++i) {
-    const QueryNetwork::Arc& a = net_.arc(static_cast<ArcId>(i));
-    if (!a.removed && a.to.kind == Endpoint::Kind::kBox) {
-      boxes_[a.to.id].queued += arcs_[i].queue.size();
-    }
-  }
-  ready_count_ = 0;
-  ready_heap_ = {};
-  for (size_t i = 0; i < boxes_.size(); ++i) {
-    const BoxId id = static_cast<BoxId>(i);
-    if (!BoxReady(id)) continue;
-    ready_count_++;
-    if (UsesReadyHeap()) {
-      ready_heap_.push({SchedKey(id), id, boxes_[i].sched_gen});
-    }
   }
 }
 
@@ -656,66 +571,51 @@ void AuroraEngine::RefreshQoSDeadlines() {
   }
 }
 
-Result<BoxId> AuroraEngine::PickBox(SimTime now) {
-  const size_t n = boxes_.size();
-  if (n == 0) return Status::NotFound("no boxes");
+double AuroraEngine::PickKey(BoxId box, SimTime now) const {
   switch (opts_.scheduler) {
+    case SchedulerPolicy::kLongestQueue:
+      return static_cast<double>(QueuedTuples(box));
+    case SchedulerPolicy::kMinOutputDistance:
+      return -static_cast<double>(net_.box(box).distance_to_output);
     case SchedulerPolicy::kQoSSlack: {
-      // Most urgent first: smallest (deadline - age of oldest queued tuple).
-      int best = -1;
-      double best_slack = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!BoxReady(static_cast<BoxId>(i))) continue;
-        double oldest_ms = 0.0;
-        for (ArcId arc : net_.box(static_cast<BoxId>(i)).in_arcs) {
-          if (arc < 0 || arcs_[arc].queue.empty()) continue;
-          oldest_ms = std::max(
-              oldest_ms,
-              (now - arcs_[arc].queue.Front().timestamp()).millis());
-        }
-        double slack = boxes_[i].deadline_ms - oldest_ms;
-        if (best < 0 || slack < best_slack) {
-          best = static_cast<int>(i);
-          best_slack = slack;
-        }
+      // Most urgent first: the smallest slack, deadline minus the age of the
+      // oldest queued tuple.
+      double oldest_ms = 0.0;
+      for (ArcId arc : net_.box(box).in_arcs) {
+        if (arc < 0 || arcs_[arc].queue.empty()) continue;
+        oldest_ms = std::max(
+            oldest_ms, (now - arcs_[arc].queue.Front().timestamp()).millis());
       }
-      if (best < 0) return Status::NotFound("no ready box");
-      return best;
+      return -(boxes_[box].deadline_ms - oldest_ms);
     }
     case SchedulerPolicy::kRoundRobin:
-    case SchedulerPolicy::kTupleAtATime: {
-      for (size_t step = 0; step < n; ++step) {
-        size_t i = (rr_next_box_ + step) % n;
-        if (BoxReady(static_cast<BoxId>(i))) {
-          rr_next_box_ = static_cast<int>((i + 1) % n);
-          return static_cast<BoxId>(i);
-        }
-      }
-      return Status::NotFound("no ready box");
-    }
-    case SchedulerPolicy::kLongestQueue:
-    case SchedulerPolicy::kMinOutputDistance: {
-      RepostDirtyBoxes();
-      // O(log n) pop from the lazily-invalidated ready heap. Deep stale
-      // entries only surface (and get discarded) when they reach the top,
-      // so cap the garbage with an occasional O(n) rebuild.
-      if (ready_heap_.size() > 64 && ready_heap_.size() > 8 * n) {
-        RebuildScheduler();
-      }
-      while (!ready_heap_.empty()) {
-        const ReadyEntry top = ready_heap_.top();
-        if (top.gen != boxes_[top.box].sched_gen || !BoxReady(top.box)) {
-          ready_heap_.pop();  // stale: queue state moved on since the push
-          continue;
-        }
-        // Max key first; ties broken toward the smallest box id — both
-        // exactly as the old first-best-wins linear scan decided.
-        return top.box;
-      }
-      return Status::NotFound("no ready box");
+    case SchedulerPolicy::kTupleAtATime:
+      break;
+  }
+  return 0.0;
+}
+
+Result<BoxId> AuroraEngine::PickBox(SimTime now) {
+  const size_t n = boxes_.size();
+  const bool round_robin = opts_.scheduler == SchedulerPolicy::kRoundRobin ||
+                           opts_.scheduler == SchedulerPolicy::kTupleAtATime;
+  const size_t start = round_robin ? static_cast<size_t>(rr_next_box_) : 0;
+  BoxId best = -1;
+  double best_key = 0.0;
+  for (size_t step = 0; step < n; ++step) {
+    size_t i = start + step;
+    if (i >= n) i -= n;
+    const BoxId box = static_cast<BoxId>(i);
+    if (!BoxReady(box)) continue;
+    const double key = PickKey(box, now);
+    if (best < 0 || key > best_key) {
+      best = box;
+      best_key = key;
     }
   }
-  return Status::Internal("bad scheduler policy");
+  if (best < 0) return Status::NotFound("no ready box");
+  if (round_robin) rr_next_box_ = static_cast<int>((best + 1) % n);
+  return best;
 }
 
 void AuroraEngine::EnsureBoxProfile(BoxId box_id) {
@@ -817,9 +717,6 @@ double AuroraEngine::ActivateBox(BoxId box_id, SimTime now,
     }
     if (run_wait_n > 0) m_queue_wait_ms_->RecordN(run_wait_ms, run_wait_n);
     if (run_cost_n > 0) tuple_cost_hist->RecordN(run_cost_us, run_cost_n);
-    // One scheduler update for the whole dequeue run — same final queued
-    // count and readiness as `got` per-tuple updates, minus the heap churn.
-    NoteBoxQueued(box_id, -got);
     Status st;
     {
       // Per-tuple operator work must use bound field indices, not
@@ -979,8 +876,9 @@ void AuroraEngine::RebuildShedderModel() {
     info.downstream_cost_us =
         std::max(0.1, cost_from(Endpoint::InputPort(static_cast<int>(i))));
     std::map<PortId, double> outputs_cost;
-    WalkDownstream(Endpoint::InputPort(static_cast<int>(i)), 0.0,
-                   &outputs_cost);
+    for (ArcId arc : net_.ArcsFrom(Endpoint::InputPort(static_cast<int>(i)))) {
+      WalkArc(arc, 0.0, &outputs_cost);
+    }
     double slope = 0.0;
     for (const auto& [port, cost] : outputs_cost) {
       info.outputs.push_back(port);

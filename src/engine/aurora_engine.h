@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <span>
 #include <string>
 #include <vector>
@@ -302,16 +301,6 @@ class AuroraEngine {
     /// Latency budget for tuples entering this box (kQoSSlack); +inf when
     /// no QoS-bearing output is reachable.
     double deadline_ms = 1e18;
-    /// Tuples consumable across all in-arcs (choked queues still drain, so
-    /// they count). Maintained by ArcEnqueueChunk/ArcDequeue; a box is ready
-    /// iff initialized && !removed && queued > 0.
-    size_t queued = 0;
-    /// Bumped whenever this box's heap entry is reposted; stale ready-heap
-    /// entries (entry.gen != sched_gen) are discarded lazily.
-    uint64_t sched_gen = 0;
-    /// kLongestQueue: `queued` changed since the box's heap entry was
-    /// posted; PickBox reposts it (the box is then on dirty_boxes_).
-    bool dirty = false;
     /// Per-box profiler series (`engine.box.n<node>.<id>:<kind>.*`),
     /// registered on the box's first activation and cached here so the
     /// activation funnel pays pointer adds, not name lookups.
@@ -334,27 +323,10 @@ class AuroraEngine {
 
   class RoutingEmitter;
 
-  /// Lazily-invalidated ready-heap entry (kLongestQueue /
-  /// kMinOutputDistance). An entry is live iff its gen matches the box's
-  /// current sched_gen; anything else is a leftover from an earlier queue
-  /// state and is popped and dropped during PickBox.
-  struct ReadyEntry {
-    int64_t key;   // larger = scheduled first
-    BoxId box;
-    uint64_t gen;
-  };
-  struct ReadyEntryOrder {
-    bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
-      if (a.key != b.key) return a.key < b.key;  // max-heap on key
-      return a.box > b.box;  // ties: smallest box id on top (matches the
-                             // old first-best-wins linear scan)
-    }
-  };
-
   /// Delivers `n` tuples emitted to one endpoint, in emission order, to all
   /// its arcs — the one routing path (a scalar emission is a chunk of one).
   /// Per destination arc the whole chunk is applied at once: one
-  /// queue-append run, one NoteBoxQueued delta, one touched-dedup probe.
+  /// queue-append run and one touched-dedup probe.
   /// Arc-major iteration preserves everything the gates observe: per-arc
   /// FIFO, per-output delivery order, and per-CP record order are each
   /// per-destination state. Consumes (moves from) the span.
@@ -365,42 +337,32 @@ class AuroraEngine {
   /// adds would cost more than a chunk of one's routing.
   void PublishRouteCounts();
   void DeliverToOutput(PortId port, const Tuple& t, SimTime now);
+  /// The scheduler (see docs/PERFORMANCE.md §4): one scan over the boxes
+  /// picks the ready box with the largest PickKey; ties go to the first box
+  /// scanned. The round-robin policies start the scan after their last
+  /// pick, the others at box 0.
   Result<BoxId> PickBox(SimTime now);
+  /// The policy's priority of a ready box (larger runs first): its queued
+  /// tuples, its negated output distance, or its negated QoS slack; 0 under
+  /// the round-robin policies, so the scan order alone decides.
+  double PickKey(BoxId box, SimTime now) const;
   /// Activates one box: consumes up to train_size tuples (one under
-  /// kTupleAtATime) in round-robin chunks, one ProcessBatch call and one
-  /// scheduler update per chunk (see EngineOptions::batch_size). Returns cost.
+  /// kTupleAtATime) in round-robin chunks, one ProcessBatch call per chunk
+  /// (see EngineOptions::batch_size). Returns cost.
   double ActivateBox(BoxId box, SimTime now, std::vector<BoxId>* touched);
   /// Registers the box's profiler series on first activation.
   void EnsureBoxProfile(BoxId box_id);
+  /// The box is live and initialized, and one of its in-arc queues is
+  /// non-empty. A choked arc's queue still drains, so it counts; its hold
+  /// buffer does not.
   bool BoxReady(BoxId box) const;
-  // ---- Ready-queue maintenance (see docs/PERFORMANCE.md) ---------------
-  /// All consumable-queue mutations funnel through these two so per-box
-  /// `queued` counters, ready_count_, and the ready heap stay exact.
-  /// ArcEnqueueChunk appends `n` tuples with one scheduler delta. With
-  /// `may_move` the span's handles are moved (last arc of a fan-out);
+  /// Tuples queued across the box's in-arcs.
+  size_t QueuedTuples(BoxId box) const;
+  /// Appends `n` tuples to an arc's queue, stamped with their enqueue time.
+  /// With `may_move` the span's handles are moved (last arc of a fan-out);
   /// otherwise each arc takes its own cheap COW handle copy.
   void ArcEnqueueChunk(ArcId arc, Tuple* tuples, size_t n, int64_t enqueue_us,
                        bool may_move);
-  Tuple ArcDequeue(ArcId arc);
-  /// Applies a queue-size delta to a box's scheduler accounting. Under
-  /// kLongestQueue this only marks the box dirty; PickBox reposts it.
-  void NoteBoxQueued(BoxId box, int delta);
-  /// Posts one fresh heap entry per dirty box (retiring its old one) and
-  /// empties the dirty list, so every ready box has exactly one live entry
-  /// keyed by its current queue length.
-  void RepostDirtyBoxes();
-  /// Scheduler key under the current heap policy (queue length for
-  /// kLongestQueue, negated output distance for kMinOutputDistance).
-  int64_t SchedKey(BoxId box) const;
-  bool UsesReadyHeap() const {
-    return opts_.scheduler == SchedulerPolicy::kLongestQueue ||
-           opts_.scheduler == SchedulerPolicy::kMinOutputDistance;
-  }
-  /// Recounts `queued`/ready_count_ and reseeds the heap from scratch.
-  /// Called after topology changes (connect, disconnect, box init) — rare,
-  /// so O(boxes + arcs) is fine there. Also the one place output distances,
-  /// which kMinOutputDistance keys on, are picked up.
-  void RebuildScheduler();
   /// Runtime state of a live arc, or nullptr for a bad / removed id.
   ArcRt* LiveArc(ArcId arc);
   /// Spills queues until the resident bytes fit the memory budget; a
@@ -409,10 +371,15 @@ class AuroraEngine {
   /// Binds one arc's connection point to the durable store (no-op when no
   /// store is attached or the point is already bound).
   void BindConnectionPointStorage(ArcId arc);
-  /// Walks downstream from an endpoint, collecting reachable outputs and
-  /// accumulating expected cost. Used by shedder model and QoS inference.
-  void WalkDownstream(const Endpoint& from, double cost_so_far_us,
-                      std::map<PortId, double>* outputs_cost) const;
+  /// Walks downstream from an arc, collecting reachable outputs and the
+  /// largest expected cost to each (measured T_B where available, the
+  /// operator's cost default otherwise). Used by the shedder model and QoS
+  /// inference.
+  void WalkArc(ArcId arc, double cost_so_far_us,
+               std::map<PortId, double>* outputs_cost) const;
+  /// Charges a tuple dropped at `input` to every output downstream of it, so
+  /// the QoS monitor's delivered fraction reflects the drop.
+  void AttributeInputDrop(PortId input);
 
   EngineOptions opts_;
   QueryNetwork net_;
@@ -423,17 +390,7 @@ class AuroraEngine {
   QoSMonitor qos_;
   StorageManager storage_;
   LoadShedder shedder_;
-  int rr_next_box_ = 0;
-  /// Boxes currently ready (initialized, live, queued > 0): O(1) HasWork
-  /// for every policy.
-  size_t ready_count_ = 0;
-  /// Max-heap of candidate boxes for the heap policies; stale entries are
-  /// skipped in PickBox, so each scheduling step is O(log n) amortized
-  /// instead of a linear scan over all boxes.
-  std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyEntryOrder>
-      ready_heap_;
-  /// kLongestQueue boxes whose `queued` changed since their last heap post.
-  std::vector<BoxId> dirty_boxes_;
+  int rr_next_box_ = 0;  // where the round-robin policies' next scan starts
   double total_cpu_micros_ = 0.0;
   uint64_t total_activations_ = 0;
   uint64_t tuples_ingested_ = 0;

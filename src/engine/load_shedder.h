@@ -70,7 +70,6 @@ class LoadShedder {
   LoadShedder() : LoadShedder(Options()) {}
   explicit LoadShedder(Options opts) : opts_(opts), rng_(0xbadcafe) {}
 
-  void Configure(const Options& opts) { opts_ = opts; }
   const Options& options() const { return opts_; }
 
   void SetInputs(std::vector<InputInfo> inputs);

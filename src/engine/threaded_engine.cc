@@ -262,8 +262,7 @@ void ThreadedEngine::RunReadyItem(int box, int worker) {
   BoxRt& b = boxes_[box];
   uint32_t expected = kQueued;
   // A stale entry (its claim was taken over by a helper, or an earlier
-  // duplicate) fails here and is dropped — same lazy invalidation as the
-  // single-threaded ready heap.
+  // duplicate) fails here and is dropped.
   if (!b.state.compare_exchange_strong(expected, kRunning,
                                        std::memory_order_acq_rel)) {
     return;

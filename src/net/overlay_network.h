@@ -89,7 +89,6 @@ class OverlayNetwork {
   /// Marks a node down (crash) or back up. Down nodes neither receive nor
   /// forward messages.
   void SetNodeUp(NodeId id, bool up) { nodes_[id].up = up; }
-  bool IsNodeUp(NodeId id) const { return nodes_[id].up; }
 
   /// Changes a node's relative CPU speed at run time (fault injection's
   /// CPU-slowdown events; StreamNode reads the live value every step).

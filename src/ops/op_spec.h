@@ -43,9 +43,6 @@ struct OperatorSpec {
   double GetDouble(const std::string& name, double fallback) const;
   std::string GetString(const std::string& name, std::string fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
-  bool HasParam(const std::string& name) const {
-    return params.count(name) > 0;
-  }
 
   OperatorSpec& SetParam(std::string name, Value v) {
     params[std::move(name)] = std::move(v);

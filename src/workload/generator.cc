@@ -69,15 +69,6 @@ class ZipfIntGen : public FieldGen {
   ZipfGenerator zipf_;
 };
 
-class NormalDoubleGen : public FieldGen {
- public:
-  NormalDoubleGen(double mean, double stddev) : mean_(mean), stddev_(stddev) {}
-  Value Next(Rng* rng) override { return Value(rng->Normal(mean_, stddev_)); }
-
- private:
-  double mean_, stddev_;
-};
-
 class SequentialGen : public FieldGen {
  public:
   Value Next(Rng*) override { return Value(static_cast<int64_t>(next_++)); }
@@ -117,9 +108,6 @@ std::unique_ptr<FieldGen> FieldGen::UniformInt(int64_t lo, int64_t hi) {
 }
 std::unique_ptr<FieldGen> FieldGen::ZipfInt(uint64_t n, double skew) {
   return std::make_unique<ZipfIntGen>(n, skew);
-}
-std::unique_ptr<FieldGen> FieldGen::NormalDouble(double mean, double stddev) {
-  return std::make_unique<NormalDoubleGen>(mean, stddev);
 }
 std::unique_ptr<FieldGen> FieldGen::Sequential() {
   return std::make_unique<SequentialGen>();

@@ -40,7 +40,6 @@ class FieldGen {
   /// Zipf-skewed integers over [0, n) — models skewed groupby keys, the
   /// condition under which content-based split predicates misbalance load.
   static std::unique_ptr<FieldGen> ZipfInt(uint64_t n, double skew);
-  static std::unique_ptr<FieldGen> NormalDouble(double mean, double stddev);
   static std::unique_ptr<FieldGen> Sequential();
   static std::unique_ptr<FieldGen> Choice(std::vector<std::string> options);
 };

@@ -1,11 +1,12 @@
-// Incrementally-maintained scheduler ready-queue: the heap-backed
-// kLongestQueue / kMinOutputDistance policies must pick exactly the box the
-// old linear scan would have picked (largest key, ties to the smallest box
-// id), and O(1) HasWork must track every queue mutation path — push, choke,
-// unchoke, train consumption, TakeArcQueue, DisconnectArc.
+// The scheduler's readiness and picks: every policy must pick exactly the
+// box a reference scan over the queues picks (largest key, ties to the first
+// box scanned, the round-robin policies resuming after their last pick), and
+// HasWork must track every queue mutation path — push, choke, unchoke, train
+// consumption, TakeArcQueue, DisconnectArc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -194,9 +195,8 @@ TEST(ReadyQueueTest, TakeArcQueueAndDisconnectClearReadiness) {
   EXPECT_EQ(p.delivered, 0u);
 }
 
-// Interleaved pushes and steps churn the lazy-invalidation heap (every pick
-// reposts each box whose queue changed); nothing may be lost or
-// double-scheduled.
+// Interleaved pushes and steps, so queues grow and shrink between picks;
+// nothing may be lost or double-scheduled.
 TEST(ReadyQueueTest, InterleavedPushAndStepDeliversEverything) {
   EngineOptions opts;
   opts.scheduler = SchedulerPolicy::kLongestQueue;
@@ -220,11 +220,10 @@ TEST(ReadyQueueTest, InterleavedPushAndStepDeliversEverything) {
   EXPECT_EQ(p.engine.TotalQueuedTuples(), 0u);
 }
 
-// The lazy heap under load: thousands of enqueues land between picks, so
-// each box's heap entry is reposted once per pick from the dirty list, not
-// once per enqueue. Chokes, unchokes, TakeArcQueue (with re-enqueue onto
-// another arc) and DisconnectArc/Connect all mutate the queues in between;
-// every pick must still match the linear-scan oracle exactly.
+// Longest queue under load: thousands of enqueues land between picks.
+// Chokes, unchokes, TakeArcQueue (with re-enqueue onto another arc) and
+// DisconnectArc/Connect all mutate the queues in between; every pick must
+// still match the linear-scan oracle exactly.
 TEST(ReadyQueueTest, LongestQueueOracleUnderBulkEnqueuesAndRewiring) {
   const int kChains = 6;
   const size_t kTrain = 64;
@@ -317,6 +316,183 @@ TEST(ReadyQueueTest, LongestQueueOracleUnderBulkEnqueuesAndRewiring) {
   EXPECT_FALSE(p.engine.HasWork());
   EXPECT_EQ(p.engine.TotalQueuedTuples(), 0u);
 }
+
+// ---- Each policy's pick sequence -----------------------------------------
+//
+// Three filter chains of 3, 1 and 2 boxes (box ids 0-2, 3 and 4-5), so
+// output distances differ, each box fed by exactly one arc: a box's queue is
+// its in-arc's queue, and a pick shows as one queue shrinking by a train
+// and the next box's growing by as much. The queues start unequal, so every
+// policy opens differently: round robin and tuple-at-a-time at box 0 (a
+// train of 3 vs one tuple), longest queue at box 3, min output distance at
+// box 2.
+
+constexpr int kChainLengths[] = {3, 1, 2};
+constexpr size_t kPolicyTrain = 3;
+constexpr size_t kInitialQueues[] = {4, 0, 2, 5, 0, 3};
+constexpr int kLastPushStep = 7;
+
+struct ChainEngine {
+  AuroraEngine engine;
+  std::vector<PortId> ins;
+  std::vector<ArcId> arc_into;  // per box
+
+  explicit ChainEngine(EngineOptions opts) : engine(opts) {
+    for (int c = 0; c < 3; ++c) {
+      std::string tag = std::to_string(c);
+      ins.push_back(*engine.AddInput("in" + tag, SchemaAB()));
+      PortId out = *engine.AddOutput("out" + tag);
+      Endpoint from = Endpoint::InputPort(ins[c]);
+      for (int k = 0; k < kChainLengths[c]; ++k) {
+        BoxId b = *engine.AddBox(FilterSpec(Predicate::True()));
+        AURORA_CHECK(b == static_cast<BoxId>(arc_into.size()));
+        arc_into.push_back(*engine.Connect(from, Endpoint::BoxPort(b, 0)));
+        from = Endpoint::BoxPort(b, 0);
+      }
+      AURORA_CHECK(engine.Connect(from, Endpoint::OutputPort(out)).ok());
+    }
+    AURORA_CHECK(engine.InitializeBoxes().ok());
+  }
+};
+
+/// The reference scheduler over per-box queue lengths, written from each
+/// policy's definition.
+struct PickModel {
+  SchedulerPolicy policy;
+  std::vector<size_t> queued;  // per box
+  std::vector<int> next;       // successor box; -1 feeds the output
+  std::vector<int> distance;   // box hops to the output
+  std::vector<int> first;      // each chain's first box
+  int cursor = 0;              // round robin: where the next scan starts
+
+  explicit PickModel(SchedulerPolicy p) : policy(p) {
+    for (int len : kChainLengths) {
+      first.push_back(static_cast<int>(next.size()));
+      for (int k = 0; k < len; ++k) {
+        const int box = static_cast<int>(next.size());
+        next.push_back(k + 1 < len ? box + 1 : -1);
+        distance.push_back(len - 1 - k);
+      }
+    }
+    queued.assign(std::begin(kInitialQueues), std::end(kInitialQueues));
+  }
+
+  bool RoundRobin() const {
+    return policy == SchedulerPolicy::kRoundRobin ||
+           policy == SchedulerPolicy::kTupleAtATime;
+  }
+
+  /// The box to run next, or -1 when every queue is empty.
+  int Pick() {
+    const int n = static_cast<int>(queued.size());
+    int best = -1;
+    for (int step = 0; step < n; ++step) {
+      const int b = RoundRobin() ? (cursor + step) % n : step;
+      if (queued[b] == 0) continue;
+      if (RoundRobin()) {  // the first ready box after the last pick
+        cursor = (b + 1) % n;
+        return b;
+      }
+      const bool better =
+          best < 0 ||
+          (policy == SchedulerPolicy::kLongestQueue
+               ? queued[b] > queued[best]           // ties: smaller id
+               : distance[b] < distance[best]);     // ties: smaller id
+      if (better) best = b;
+    }
+    return best;
+  }
+
+  /// One activation: a train moves one box down its chain.
+  void Run(int box) {
+    const size_t budget =
+        policy == SchedulerPolicy::kTupleAtATime ? 1 : kPolicyTrain;
+    const size_t moved = std::min(budget, queued[box]);
+    queued[box] -= moved;
+    if (next[box] >= 0) queued[next[box]] += moved;
+  }
+};
+
+/// Runs the scenario on the model and, when `e` is given, steps the engine
+/// in lockstep, comparing every queue after every step. Inputs arrive at
+/// steps 1, 4 and 7, mid-drain. Returns the model's pick sequence.
+std::vector<int> RunPolicyScenario(SchedulerPolicy policy, ChainEngine* e) {
+  PickModel model(policy);
+  for (size_t b = 0; b < model.queued.size(); ++b) {
+    for (size_t k = 0; e != nullptr && k < model.queued[b]; ++k) {
+      EXPECT_OK(e->engine.EnqueueOnArc(e->arc_into[b],
+                                       T(static_cast<int64_t>(b),
+                                         static_cast<int64_t>(k)),
+                                       SimTime()));
+    }
+  }
+  std::vector<int> picks;
+  for (int step = 0; step < 200; ++step) {
+    if (step % 3 == 1 && step <= kLastPushStep) {
+      const int chain = (step / 3 + 2) % 3;  // chains 2, 0, 1
+      for (int k = 0; k < 2; ++k) {
+        if (e != nullptr) {
+          EXPECT_OK(e->engine.PushInput(e->ins[chain], T(chain, step),
+                                        SimTime()));
+        }
+        model.queued[model.first[chain]]++;
+      }
+    }
+    const int pick = model.Pick();
+    if (pick < 0 && step > kLastPushStep) break;
+    if (pick >= 0) {
+      picks.push_back(pick);
+      model.Run(pick);
+    }
+    if (e == nullptr) continue;
+    EXPECT_EQ(e->engine.HasWork(), pick >= 0) << "step " << step;
+    EXPECT_OK(e->engine.RunOneStep(SimTime()).status());
+    bool same = true;
+    for (size_t b = 0; b < model.queued.size(); ++b) {
+      const size_t got = e->engine.ArcQueueSize(e->arc_into[b]);
+      EXPECT_EQ(got, model.queued[b])
+          << "box " << b << " after step " << step << " (reference pick "
+          << pick << ")";
+      same = same && got == model.queued[b];
+    }
+    if (!same) break;  // later steps would only repeat the divergence
+  }
+  if (e != nullptr) {
+    EXPECT_FALSE(e->engine.HasWork());
+  }
+  return picks;
+}
+
+constexpr SchedulerPolicy kPickPolicies[] = {
+    SchedulerPolicy::kRoundRobin, SchedulerPolicy::kTupleAtATime,
+    SchedulerPolicy::kLongestQueue, SchedulerPolicy::kMinOutputDistance};
+
+class PolicyPickTest : public ::testing::TestWithParam<SchedulerPolicy> {};
+
+TEST_P(PolicyPickTest, StepsMatchReferencePicks) {
+  EngineOptions opts;
+  opts.scheduler = GetParam();
+  opts.train_size = static_cast<int>(kPolicyTrain);
+  ChainEngine e(opts);
+  const std::vector<int> picks = RunPolicyScenario(GetParam(), &e);
+  EXPECT_GT(picks.size(), 10u);
+  // The network tells the policies apart: no other policy's reference
+  // picks the same sequence.
+  for (SchedulerPolicy other : kPickPolicies) {
+    if (other == GetParam()) continue;
+    EXPECT_NE(RunPolicyScenario(other, nullptr), picks)
+        << "policy " << static_cast<int>(other);
+  }
+}
+
+std::string PolicyName(const ::testing::TestParamInfo<SchedulerPolicy>& info) {
+  static const char* const kNames[] = {"RoundRobin", "TupleAtATime",
+                                       "LongestQueue", "MinOutputDistance"};
+  return kNames[info.index];  // kPickPolicies' order
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, PolicyPickTest,
+                         ::testing::ValuesIn(kPickPolicies), PolicyName);
 
 // The threaded runtime's version of the same invariant: an ingest thread
 // pushes irregular bursts into a wide network while four workers run (and

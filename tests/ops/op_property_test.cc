@@ -510,13 +510,15 @@ std::string BatchOracleDiff(const OperatorSpec& spec, const SchemaPtr& schema,
   return os.str();
 }
 
-/// Seeded random (A, B) stream with seq numbers 1..n, millisecond
-/// timestamps, and a trace id on every third tuple (exercises buffered
-/// BatchEmitter seq/trace stamping against the per-tuple Process path's).
-std::vector<Tuple> BatchStream(uint64_t seed, int n, int64_t a_range,
-                               int64_t b_lo, int64_t b_hi) {
+/// Seeded random (A, B) stream on `schema` with seq numbers 1..n,
+/// millisecond timestamps, and a trace id on every third tuple (exercises
+/// buffered BatchEmitter seq/trace stamping against the per-tuple Process
+/// path's). Pass the schema object the operator is initialized on: the
+/// engines' tuples carry it, and that is the path bound field indices and
+/// pointer-uniform batches take.
+std::vector<Tuple> BatchStream(const SchemaPtr& schema, uint64_t seed, int n,
+                               int64_t a_range, int64_t b_lo, int64_t b_hi) {
   Rng rng = MakeTestRng(seed);
-  SchemaPtr schema = SchemaAB();
   std::vector<Tuple> tuples;
   for (int i = 0; i < n; ++i) {
     Tuple t = MakeTuple(schema, {Value(rng.UniformInt(0, a_range)),
@@ -535,7 +537,7 @@ std::vector<Tuple> BatchStream(uint64_t seed, int n, int64_t a_range,
 std::vector<Tuple> TextBatchStream(const SchemaPtr& schema, uint64_t seed,
                                    int n, int64_t b_lo, int64_t b_hi) {
   std::vector<Tuple> tuples;
-  for (const Tuple& ab : BatchStream(seed, n, 50, b_lo, b_hi)) {
+  for (const Tuple& ab : BatchStream(SchemaAB(), seed, n, 50, b_lo, b_hi)) {
     Tuple t = MakeTuple(
         schema, {ab.value(0), ab.value(1),
                  Value("a string field past the inline buffer, row " +
@@ -584,21 +586,24 @@ class BatchOracleTest : public ::testing::TestWithParam<BatchOpCase> {
 
 TEST_P(BatchOracleTest, FilterOneWay) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   CheckAllBatchSizes(
       FilterSpec(Predicate::Compare("A", CompareOp::kLt, Value(int64_t{25}))),
-      SchemaAB(), BatchStream(c.seed, c.n, 50, -100, 100), false);
+      schema, BatchStream(schema, c.seed, c.n, 50, -100, 100), false);
 }
 
 TEST_P(BatchOracleTest, FilterTwoWay) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   CheckAllBatchSizes(
       FilterSpec(Predicate::Compare("A", CompareOp::kGe, Value(int64_t{25})),
                  /*two_way=*/true),
-      SchemaAB(), BatchStream(c.seed + 1, c.n, 50, -100, 100), false);
+      schema, BatchStream(schema, c.seed + 1, c.n, 50, -100, 100), false);
 }
 
 TEST_P(BatchOracleTest, FilterBooleanTree) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   // And/Or/Not over compares: exercises the vectorized combine loops.
   Predicate p = Predicate::Or(
       Predicate::And(
@@ -606,20 +611,23 @@ TEST_P(BatchOracleTest, FilterBooleanTree) {
           Predicate::Compare("B", CompareOp::kLe, Value(int64_t{0}))),
       Predicate::Not(
           Predicate::Compare("A", CompareOp::kNe, Value(int64_t{7}))));
-  CheckAllBatchSizes(FilterSpec(std::move(p)), SchemaAB(),
-                     BatchStream(c.seed + 2, c.n, 50, -100, 100), false);
+  CheckAllBatchSizes(FilterSpec(std::move(p)), schema,
+                     BatchStream(schema, c.seed + 2, c.n, 50, -100, 100),
+                     false);
 }
 
 TEST_P(BatchOracleTest, FilterDoubleConstantAgainstIntColumn) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   // Mixed-numeric compare goes through the AsNumeric column path.
   CheckAllBatchSizes(
       FilterSpec(Predicate::Compare("A", CompareOp::kGt, Value(24.5))),
-      SchemaAB(), BatchStream(c.seed + 3, c.n, 50, -100, 100), false);
+      schema, BatchStream(schema, c.seed + 3, c.n, 50, -100, 100), false);
 }
 
 TEST_P(BatchOracleTest, MapInt64FastPath) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   // add/sub/mul over int64 fields and constants: the vectorized Expr tree.
   std::vector<std::pair<std::string, Expr>> proj;
   proj.emplace_back("S",
@@ -628,86 +636,104 @@ TEST_P(BatchOracleTest, MapInt64FastPath) {
                                             Expr::Constant(Value(int64_t{3})))));
   proj.emplace_back("D", Expr::Arith(ArithOp::kSub, Expr::FieldRef("B"),
                                      Expr::FieldRef("A")));
-  CheckAllBatchSizes(MapSpec(std::move(proj)), SchemaAB(),
-                     BatchStream(c.seed + 4, c.n, 50, -100, 100), false);
+  CheckAllBatchSizes(MapSpec(std::move(proj)), schema,
+                     BatchStream(schema, c.seed + 4, c.n, 50, -100, 100),
+                     false);
 }
 
 TEST_P(BatchOracleTest, MapDivFallbackWithErrors) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   // kDiv forces the per-tuple fallback, and B ranges over 0 so some tuples
   // divide by zero: the batched path must skip exactly those tuples and
   // surface the same first error the scalar path does.
   std::vector<std::pair<std::string, Expr>> proj;
   proj.emplace_back("Q", Expr::Arith(ArithOp::kDiv, Expr::FieldRef("A"),
                                      Expr::FieldRef("B")));
-  CheckAllBatchSizes(MapSpec(std::move(proj)), SchemaAB(),
-                     BatchStream(c.seed + 5, c.n, 50, 0, 3), false);
+  CheckAllBatchSizes(MapSpec(std::move(proj)), schema,
+                     BatchStream(schema, c.seed + 5, c.n, 50, 0, 3), false);
 }
 
 TEST_P(BatchOracleTest, MapBoundFieldsThenFailingDivision) {
   const auto& c = GetParam();
   // The bound field copies (one a heap string) come first, so every zero
   // divisor abandons a half-built row, at every batch size.
-  SchemaPtr schema = Schema::Make({Field{"A", ValueType::kInt64},
-                                   Field{"B", ValueType::kInt64},
-                                   Field{"S", ValueType::kString}});
+  auto text_schema = [] {
+    return Schema::Make({Field{"A", ValueType::kInt64},
+                         Field{"B", ValueType::kInt64},
+                         Field{"S", ValueType::kString}});
+  };
+  const SchemaPtr schema = text_schema();
   std::vector<std::pair<std::string, Expr>> proj;
   proj.emplace_back("A", Expr::FieldRef("A"));
   proj.emplace_back("S", Expr::FieldRef("S"));
   proj.emplace_back("Q", Expr::Arith(ArithOp::kDiv, Expr::FieldRef("A"),
                                      Expr::FieldRef("B")));
-  CheckAllBatchSizes(MapSpec(std::move(proj)), schema,
+  const OperatorSpec spec = MapSpec(std::move(proj));
+  CheckAllBatchSizes(spec, schema,
                      TextBatchStream(schema, c.seed + 13, c.n, 0, 3), false);
+  // Tuples on an equal but distinct schema object take the rebind path:
+  // the identity fields go through Eval instead of the bound copies.
+  CheckAllBatchSizes(spec, schema,
+                     TextBatchStream(text_schema(), c.seed + 14, c.n, 0, 3),
+                     false);
 }
 
 TEST_P(BatchOracleTest, TumbleRunBased) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(TumbleSpec("sum", "B", {"A"}), SchemaAB(),
-                     BatchStream(c.seed + 6, c.n, 4, 0, 99), true);
+  const SchemaPtr schema = SchemaAB();
+  CheckAllBatchSizes(TumbleSpec("sum", "B", {"A"}), schema,
+                     BatchStream(schema, c.seed + 6, c.n, 4, 0, 99), true);
 }
 
 TEST_P(BatchOracleTest, TumbleEveryN) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   auto spec = TumbleSpec("cnt", "B", {"A"});
   spec.SetParam("emit", Value("every_n"));
   spec.SetParam("n", Value(int64_t{3}));
   // Small key range: consecutive same-key tuples exercise the group memo.
-  CheckAllBatchSizes(spec, SchemaAB(),
-                     BatchStream(c.seed + 7, c.n, 2, 0, 99), true);
+  CheckAllBatchSizes(spec, schema,
+                     BatchStream(schema, c.seed + 7, c.n, 2, 0, 99), true);
 }
 
 TEST_P(BatchOracleTest, WindowAggXSection) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(XSectionSpec("max", "B", 4, 2, {"A"}), SchemaAB(),
-                     BatchStream(c.seed + 8, c.n, 3, 0, 50), false);
+  const SchemaPtr schema = SchemaAB();
+  CheckAllBatchSizes(XSectionSpec("max", "B", 4, 2, {"A"}), schema,
+                     BatchStream(schema, c.seed + 8, c.n, 3, 0, 50), false);
 }
 
 TEST_P(BatchOracleTest, WindowAggSlide) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(SlideSpec("avg", "B", 5, {"A"}), SchemaAB(),
-                     BatchStream(c.seed + 9, c.n, 3, 0, 50), false);
+  const SchemaPtr schema = SchemaAB();
+  CheckAllBatchSizes(SlideSpec("avg", "B", 5, {"A"}), schema,
+                     BatchStream(schema, c.seed + 9, c.n, 3, 0, 50), false);
 }
 
 TEST_P(BatchOracleTest, WSort) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   CheckAllBatchSizes(WSortSpec({"A"}, /*timeout_us=*/0, /*max_buffer=*/6),
-                     SchemaAB(), BatchStream(c.seed + 10, c.n, 1000, 0, 9),
+                     schema, BatchStream(schema, c.seed + 10, c.n, 1000, 0, 9),
                      true);
 }
 
 TEST_P(BatchOracleTest, WSortUnbounded) {
   const auto& c = GetParam();
+  const SchemaPtr schema = SchemaAB();
   // max_buffer=0: nothing is emitted mid-batch, so WSort's bulk-insert
   // fast path (one stable sort + hinted tree merge per batch) engages.
   CheckAllBatchSizes(WSortSpec({"A"}, /*timeout_us=*/0, /*max_buffer=*/0),
-                     SchemaAB(), BatchStream(c.seed + 12, c.n, 1000, 0, 9),
+                     schema, BatchStream(schema, c.seed + 12, c.n, 1000, 0, 9),
                      true);
 }
 
 TEST_P(BatchOracleTest, Resample) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(ResampleSpec("B", /*interval_us=*/2000), SchemaAB(),
-                     BatchStream(c.seed + 11, c.n, 50, 0, 100), true);
+  const SchemaPtr schema = SchemaAB();
+  CheckAllBatchSizes(ResampleSpec("B", /*interval_us=*/2000), schema,
+                     BatchStream(schema, c.seed + 11, c.n, 50, 0, 100), true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BatchOracleTest,
@@ -720,8 +746,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BatchOracleTest,
 // base-class ProcessBatch must still be emission-equivalent per input.
 TEST(BatchOracleMultiInputTest, UnionDefaultLoopMatchesScalar) {
   SchemaPtr schema = SchemaAB();
-  std::vector<Tuple> a = BatchStream(80, 37, 50, 0, 9);
-  std::vector<Tuple> b = BatchStream(81, 37, 50, 0, 9);
+  std::vector<Tuple> a = BatchStream(schema, 80, 37, 50, 0, 9);
+  std::vector<Tuple> b = BatchStream(schema, 81, 37, 50, 0, 9);
   auto run = [&](bool batched) {
     auto op = std::move(CreateOperator(UnionSpec(2))).ValueUnsafe();
     AURORA_CHECK(op->Init({schema, schema}).ok());
@@ -750,7 +776,7 @@ TEST(BatchOracleMultiInputTest, JoinDefaultLoopMatchesScalar) {
   SchemaPtr left = SchemaAB();
   SchemaPtr right = Schema::Make(
       {Field{"K", ValueType::kInt64}, Field{"V", ValueType::kInt64}});
-  std::vector<Tuple> lefts = BatchStream(82, 29, 9, 0, 99);
+  std::vector<Tuple> lefts = BatchStream(left, 82, 29, 9, 0, 99);
   std::vector<Tuple> rights;
   {
     Rng rng = MakeTestRng(83);
@@ -846,14 +872,14 @@ SchemaPtr SchemaSB() {
       {Field{"S", ValueType::kString}, Field{"B", ValueType::kInt64}});
 }
 
-/// Seeded stream over (S:string, B:int64) with the same seq/trace stamping
-/// as BatchStream; words repeat (and include "") so string compares exercise
-/// every ordering against the constant.
-std::vector<Tuple> StringStream(uint64_t seed, int n) {
+/// Seeded stream over (S:string, B:int64) on `schema`, with the same
+/// seq/trace stamping as BatchStream; words repeat (and include "") so
+/// string compares exercise every ordering against the constant.
+std::vector<Tuple> StringStream(const SchemaPtr& schema, uint64_t seed,
+                                int n) {
   static const char* kWords[] = {"alpha", "bravo", "charlie",
                                  "delta", "echo",  ""};
   Rng rng = MakeTestRng(seed);
-  SchemaPtr schema = SchemaSB();
   std::vector<Tuple> tuples;
   for (int i = 0; i < n; ++i) {
     Tuple t = MakeTuple(schema, {Value(kWords[rng.UniformInt(0, 5)]),
@@ -867,7 +893,7 @@ std::vector<Tuple> StringStream(uint64_t seed, int n) {
 }
 
 TEST(BatchOracleStringTest, StrColumnExposesPooledViews) {
-  std::vector<Tuple> tuples = StringStream(97, 9);
+  std::vector<Tuple> tuples = StringStream(SchemaSB(), 97, 9);
   TupleBatch batch;
   for (const Tuple& t : tuples) batch.Push(t, t.timestamp());
   const std::string_view* col = batch.StrColumn(0);
@@ -882,12 +908,13 @@ TEST(BatchOracleStringTest, StrColumnExposesPooledViews) {
 TEST(BatchOracleStringTest, FilterStringCompareMatchesScalar) {
   // String column vs string constant: the vectorized compare path, every
   // operator, odd-tail and wide batch sizes.
+  const SchemaPtr schema = SchemaSB();
   for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
                        CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
     for (int batch_size : {1, 7, 64}) {
       std::string diff = BatchOracleDiff(
           FilterSpec(Predicate::Compare("S", op, Value("charlie"))),
-          SchemaSB(), StringStream(95, 113), batch_size, false);
+          schema, StringStream(schema, 95, 113), batch_size, false);
       EXPECT_TRUE(diff.empty())
           << "op=" << CompareOpName(op) << " batch=" << batch_size << "\n"
           << diff;
@@ -899,14 +926,15 @@ TEST(BatchOracleStringTest, MapIdentityStringProjectionMatchesScalar) {
   // A bare string field ref plus an int arithmetic column: identity
   // projections copy values straight out of the tuple, so a string column
   // no longer forces Map onto the scalar path.
+  const SchemaPtr schema = SchemaSB();
   for (int batch_size : {1, 7, 64}) {
     std::vector<std::pair<std::string, Expr>> proj;
     proj.emplace_back("S2", Expr::FieldRef("S"));
     proj.emplace_back("B2", Expr::Arith(ArithOp::kAdd, Expr::FieldRef("B"),
                                         Expr::Constant(Value(int64_t{7}))));
     std::string diff =
-        BatchOracleDiff(MapSpec(std::move(proj)), SchemaSB(),
-                        StringStream(96, 77), batch_size, false);
+        BatchOracleDiff(MapSpec(std::move(proj)), schema,
+                        StringStream(schema, 96, 77), batch_size, false);
     EXPECT_TRUE(diff.empty()) << "batch=" << batch_size << "\n" << diff;
   }
 }
@@ -1003,20 +1031,22 @@ TEST(BatchOracleEdgeTest, EmptyBatchIsANoOp) {
 }
 
 TEST(BatchOracleEdgeTest, BatchOfOneEqualsScalarCall) {
-  std::vector<Tuple> one = BatchStream(90, 1, 50, 0, 9);
+  const SchemaPtr schema = SchemaAB();
+  std::vector<Tuple> one = BatchStream(schema, 90, 1, 50, 0, 9);
   std::string diff = BatchOracleDiff(
       FilterSpec(Predicate::Compare("A", CompareOp::kGe, Value(int64_t{0}))),
-      SchemaAB(), one, /*batch_size=*/1, false);
+      schema, one, /*batch_size=*/1, false);
   EXPECT_TRUE(diff.empty()) << diff;
 }
 
 TEST(BatchOracleEdgeTest, BadInputIndexRejectedWithoutSideEffects) {
   auto op = std::move(CreateOperator(FilterSpec(Predicate::True())))
                 .ValueUnsafe();
-  ASSERT_OK(op->Init({SchemaAB()}));
+  const SchemaPtr schema = SchemaAB();
+  ASSERT_OK(op->Init({schema}));
   CollectingEmitter emitter;
   TupleBatch batch;
-  batch.Push(BatchStream(91, 1, 50, 0, 9)[0], SimTime::Millis(1));
+  batch.Push(BatchStream(schema, 91, 1, 50, 0, 9)[0], SimTime::Millis(1));
   EXPECT_FALSE(op->ProcessBatch(1, batch, &emitter).ok());
   EXPECT_TRUE(emitter.emissions().empty());
   EXPECT_EQ(op->tuples_in(), 0u);
@@ -1027,7 +1057,7 @@ TEST(BatchOracleEdgeTest, BadInputIndexRejectedWithoutSideEffects) {
 // filter correct for the rows that do carry the bound field.
 TEST(BatchOracleEdgeTest, MixedSchemaBatchFallsBackPerTuple) {
   SchemaPtr ab = SchemaAB();
-  std::vector<Tuple> tuples = BatchStream(92, 16, 50, 0, 9);
+  std::vector<Tuple> tuples = BatchStream(ab, 92, 16, 50, 0, 9);
   TupleBatch batch;
   for (const Tuple& t : tuples) batch.Push(t, t.timestamp());
   EXPECT_TRUE(batch.uniform_schema());
