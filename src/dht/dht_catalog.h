@@ -68,7 +68,6 @@ class DhtCatalog {
 
   /// Number of entries physically stored on the node (replicas included).
   size_t StoredOn(NodeId node) const;
-  size_t num_entries() const { return entries_.size(); }
 
  private:
   void Replicate(const std::string& key);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "engine/activation.h"
 #include "obs/trace.h"
 
 namespace aurora {
@@ -331,29 +332,6 @@ Result<QoSSpec> AuroraEngine::InferArcQoS(ArcId arc) const {
 // Data path
 // ---------------------------------------------------------------------------
 
-/// Routes a box's emissions. Lineage stamping (seq and trace id) happens
-/// in the operator's emitter wrappers, so a scalar emission is just a chunk
-/// of one.
-class AuroraEngine::RoutingEmitter final : public Emitter {
- public:
-  RoutingEmitter(AuroraEngine* engine, BoxId box, SimTime now,
-                 std::vector<BoxId>* touched)
-      : engine_(engine), box_(box), now_(now), touched_(touched) {}
-
-  void Emit(int output, Tuple t) override { EmitChunk(output, &t, 1); }
-
-  void EmitChunk(int output, Tuple* tuples, size_t n) override {
-    engine_->RouteChunk(Endpoint::BoxPort(box_, output), tuples, n, now_,
-                        touched_);
-  }
-
- private:
-  AuroraEngine* engine_;
-  BoxId box_;
-  SimTime now_;
-  std::vector<BoxId>* touched_;
-};
-
 void AuroraEngine::RouteChunk(const Endpoint& from, Tuple* tuples, size_t n,
                               SimTime now, std::vector<BoxId>* touched) {
   route_counts_.chunks++;
@@ -457,7 +435,6 @@ Status AuroraEngine::PushInput(PortId input, Tuple t, SimTime now,
     return Status::Unavailable("blocked upstream: out of downstream credit");
   }
   if (t.timestamp().micros() == 0) t.set_timestamp(now);
-  tuples_ingested_++;
   Tracer& tracer = Tracer::Global();
   if (tracer.enabled()) {
     // Source tuples draw a (sampled) lineage id here; tuples arriving over
@@ -633,56 +610,32 @@ void AuroraEngine::EnsureBoxProfile(BoxId box_id) {
 double AuroraEngine::ActivateBox(BoxId box_id, SimTime now,
                                  std::vector<BoxId>* touched) {
   if (boxes_[box_id].prof_activations == nullptr) EnsureBoxProfile(box_id);
-  // Emissions run application callbacks that may grow the model or the
-  // runtime arrays, so both are re-indexed after every ProcessBatch; the
-  // operator itself never moves.
+  // The operator never moves; the model and the runtime arrays may, so
+  // `take` and the cursor re-index them on every turn (see RunActivation).
   Operator* op = net_.box(box_id).op.get();
-  const int n_inputs = op->num_inputs();
   const int budget = opts_.scheduler == SchedulerPolicy::kTupleAtATime
                          ? 1
                          : opts_.train_size;
-  // Chunking a multi-input box would change the round-robin interleaving
-  // across its inputs, and therefore output order.
-  const int chunk_cap = n_inputs == 1 ? std::min(budget, opts_.batch_size) : 1;
   double cost_us = 0.0;
   double wait_sum_ms = 0.0;
-  int processed = 0;
-  RoutingEmitter emitter(this, box_id, now, touched);
+  BoxEmitter emitter(box_id, [&](const Endpoint& from, Tuple* t, size_t n) {
+    RouteChunk(from, t, n, now, touched);
+  });
   Tracer& tracer = Tracer::Global();
-  // Output callbacks run inside ProcessBatch emissions and are free to
-  // re-enter the engine, so only the outermost activation borrows the
-  // member scratch (its capacity then amortizes across activations); a
-  // nested one uses its own.
-  TupleBatch nested_batch;
-  TupleBatch& batch =
-      activation_depth_++ == 0 ? batch_scratch_ : nested_batch;
-  batch.Reserve(static_cast<size_t>(chunk_cap));
-  int idle_scans = 0;
-  // Each round-robin turn takes one chunk from one input; the queue is
-  // re-checked per chunk, so a self-feeding box sees its own emissions.
-  while (processed < budget && idle_scans < n_inputs) {
-    int& rr = boxes_[box_id].rr_next_input;
-    const int in = rr % n_inputs;
-    rr = (rr + 1) % n_inputs;
+  // Pops one chunk off the input's arc with its per-tuple accounting:
+  // consecutive equal histogram samples collapse into one RecordN call
+  // (RecordN is defined to be bit-identical to the per-call sequence). Runs
+  // are flushed in arrival order, so even the floating sum inside each
+  // histogram accumulates in tuple order.
+  auto take = [&](int in, int want, TupleBatch& batch) {
     const ArcId arc_id = net_.box(box_id).in_arcs[in];
-    if (arc_id < 0 || arcs_[arc_id].queue.empty()) {
-      idle_scans++;
-      continue;
-    }
-    idle_scans = 0;
+    if (arc_id < 0) return 0;
     ArcRt& a = arcs_[arc_id];
     LatencyHistogram* tuple_cost_hist = boxes_[box_id].prof_tuple_cost_us;
-    const int want = std::min(budget - processed, chunk_cap);
-    batch.Clear();
-    int got = 0;
-    // Per-tuple accounting, with consecutive equal histogram samples
-    // collapsed into one RecordN call (RecordN is defined to be
-    // bit-identical to the per-call sequence). Runs are flushed in arrival
-    // order, so even the floating sum inside each histogram accumulates in
-    // tuple order.
     double run_wait_ms = 0.0, run_cost_us = 0.0;
     uint64_t run_wait_n = 0, run_cost_n = 0;
     const bool tracing = tracer.enabled();
+    int got = 0;
     while (got < want && !a.queue.empty()) {
       uint64_t reads_before = a.queue.unspill_reads();
       int64_t enq_us = a.enqueue_us.front();
@@ -717,17 +670,19 @@ double AuroraEngine::ActivateBox(BoxId box_id, SimTime now,
     }
     if (run_wait_n > 0) m_queue_wait_ms_->RecordN(run_wait_ms, run_wait_n);
     if (run_cost_n > 0) tuple_cost_hist->RecordN(run_cost_us, run_cost_n);
-    Status st;
-    {
-      // Per-tuple operator work must use bound field indices, not
-      // Get(name); see TupleHotPathSection.
-      TupleHotPathSection hot_path;
-      st = op->ProcessBatch(in, batch, &emitter);
-    }
-    if (!st.ok() && deferred_error_.ok()) deferred_error_ = st;
-    processed += got;
-  }
-  batch.Clear();  // release the last chunk's tuples now
+    return got;
+  };
+  // Output callbacks run inside ProcessBatch emissions and are free to
+  // re-enter the engine, so only the outermost activation borrows the
+  // member scratch (its capacity then amortizes across activations); a
+  // nested one uses its own.
+  TupleBatch nested_batch;
+  TupleBatch& batch =
+      activation_depth_++ == 0 ? batch_scratch_ : nested_batch;
+  const int processed = RunActivation(
+      op, op->num_inputs(), budget, opts_.batch_size, batch, &emitter,
+      [&]() -> int& { return boxes_[box_id].rr_next_input; }, take,
+      &deferred_error_);
   activation_depth_--;
   if (processed > 0) {
     double t_b_ms = wait_sum_ms / processed +
@@ -789,7 +744,9 @@ void AuroraEngine::Tick(SimTime now) {
   for (size_t i = 0; i < boxes_.size(); ++i) {
     const BoxId id = static_cast<BoxId>(i);
     if (!net_.IsBoxInitialized(id)) continue;
-    RoutingEmitter emitter(this, id, now, nullptr);
+    BoxEmitter emitter(id, [&](const Endpoint& from, Tuple* t, size_t n) {
+      RouteChunk(from, t, n, now, nullptr);
+    });
     net_.box(id).op->OnTick(now, &emitter);
   }
   PublishRouteCounts();
@@ -800,7 +757,9 @@ void AuroraEngine::Tick(SimTime now) {
 
 Status AuroraEngine::DrainBoxState(BoxId box, SimTime now) {
   if (!net_.HasBox(box)) return Status::InvalidArgument("bad box id");
-  RoutingEmitter emitter(this, box, now, nullptr);
+  BoxEmitter emitter(box, [&](const Endpoint& from, Tuple* t, size_t n) {
+    RouteChunk(from, t, n, now, nullptr);
+  });
   net_.box(box).op->Drain(&emitter);
   PublishRouteCounts();
   return Status::OK();

@@ -46,15 +46,8 @@ struct EngineOptions {
   SchedulerPolicy scheduler = SchedulerPolicy::kLongestQueue;
   /// Max tuples consumed per box activation (train scheduling, §2.3).
   int train_size = 64;
-  /// Most tuples handed to one Operator::ProcessBatch call. Every box
-  /// activation runs one loop: each round-robin turn dequeues a chunk of
-  /// min(batch_size, remaining train budget) tuples from a single-input box,
-  /// or exactly one tuple from a multi-input box (larger chunks would change
-  /// the interleaving across its inputs, and therefore output order). Under
-  /// kTupleAtATime the budget itself is one tuple. A one-tuple chunk runs
-  /// the operator's scalar Process, so 1 is the scalar oracle; outputs are
-  /// bit-identical at every size (gated by the simcheck golden seeds and
-  /// the batch-vs-scalar property suite).
+  /// Most tuples handed to one Operator::ProcessBatch call; the chunk rule
+  /// is RunActivation's (engine/activation.h).
   int batch_size = 1;
   /// How far a train is pushed toward the output within one step: after a
   /// box activation, boxes that received its emissions are activated too,
@@ -245,7 +238,6 @@ class AuroraEngine {
   /// downstream credit, so offered load must be visible to shedding/QoS
   /// instead of silently growing queues.
   void SetIngestBlocked(bool blocked);
-  bool ingest_blocked() const { return ingest_blocked_; }
   /// Bytes currently queued on all arcs fed by the input port (its backlog
   /// against a receive-side credit budget).
   size_t InputBacklogBytes(PortId input) const;
@@ -277,10 +269,6 @@ class AuroraEngine {
   /// Cumulative simulated CPU microseconds consumed by RunOneStep.
   double total_cpu_micros() const { return total_cpu_micros_; }
   uint64_t total_activations() const { return total_activations_; }
-  /// Tuples admitted by PushInput past the shedder and the ingestion gate —
-  /// the engine-side ground truth tuple-conservation checks reconcile
-  /// against (src/check).
-  uint64_t tuples_ingested() const { return tuples_ingested_; }
   /// Sum of queued tuples over all arcs.
   size_t TotalQueuedTuples() const;
 
@@ -292,7 +280,6 @@ class AuroraEngine {
     storage_.set_scope(scope);
     qos_.set_scope(scope);
   }
-  int trace_node() const { return trace_node_; }
 
  private:
   /// Runtime state beside each QueryNetwork box (same index).
@@ -321,8 +308,6 @@ class AuroraEngine {
     std::unique_ptr<ConnectionPoint> cp;
   };
 
-  class RoutingEmitter;
-
   /// Delivers `n` tuples emitted to one endpoint, in emission order, to all
   /// its arcs — the one routing path (a scalar emission is a chunk of one).
   /// Per destination arc the whole chunk is applied at once: one
@@ -346,9 +331,8 @@ class AuroraEngine {
   /// tuples, its negated output distance, or its negated QoS slack; 0 under
   /// the round-robin policies, so the scan order alone decides.
   double PickKey(BoxId box, SimTime now) const;
-  /// Activates one box: consumes up to train_size tuples (one under
-  /// kTupleAtATime) in round-robin chunks, one ProcessBatch call per chunk
-  /// (see EngineOptions::batch_size). Returns cost.
+  /// Activates one box through RunActivation (engine/activation.h), with a
+  /// budget of train_size tuples (one under kTupleAtATime). Returns cost.
   double ActivateBox(BoxId box, SimTime now, std::vector<BoxId>* touched);
   /// Registers the box's profiler series on first activation.
   void EnsureBoxProfile(BoxId box_id);
@@ -393,7 +377,6 @@ class AuroraEngine {
   int rr_next_box_ = 0;  // where the round-robin policies' next scan starts
   double total_cpu_micros_ = 0.0;
   uint64_t total_activations_ = 0;
-  uint64_t tuples_ingested_ = 0;
   int trace_node_ = -1;
   bool ingest_blocked_ = false;
   TieredStore* durable_store_ = nullptr;

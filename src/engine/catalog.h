@@ -62,8 +62,6 @@ class Catalog {
   Status SetQueryPieces(const std::string& name,
                         std::vector<QueryPieceInfo> pieces);
 
-  size_t num_streams() const { return streams_.size(); }
-
  private:
   std::map<std::string, SchemaPtr> schemas_;
   std::map<std::string, StreamInfo> streams_;

@@ -86,9 +86,6 @@ class LoadShedder {
 
   const std::vector<InputInfo>& inputs() const { return inputs_; }
 
-  /// Whether any input currently has a nonzero drop probability.
-  bool shedding_active() const { return shedding_; }
-
  private:
   void Recompute(SimTime now);
   /// Tracks the off->on shedding transition; the first activation trips the

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "engine/activation.h"
 
 namespace aurora {
 
@@ -271,73 +272,38 @@ void ThreadedEngine::RunReadyItem(int box, int worker) {
   PostRun(box, worker);
 }
 
-/// Routes a box's emissions. Lineage stamping (seq and trace id) happens
-/// in the operator's emitter wrappers, so a scalar emission is just a chunk
-/// of one.
-class ThreadedEngine::RoutingEmitter final : public Emitter {
- public:
-  RoutingEmitter(ThreadedEngine* engine, BoxId box, int worker)
-      : engine_(engine), box_(box), worker_(worker) {}
-
-  void Emit(int output, Tuple t) override { EmitChunk(output, &t, 1); }
-
-  void EmitChunk(int output, Tuple* tuples, size_t n) override {
-    engine_->RouteChunk(Endpoint::BoxPort(box_, output), tuples, n, worker_);
-  }
-
- private:
-  ThreadedEngine* engine_;
-  BoxId box_;
-  int worker_;
-};
-
 void ThreadedEngine::RunBoxActivation(BoxId box, int worker) {
   activations_.fetch_add(1, std::memory_order_relaxed);
   m_activations_->Add();
   BoxRt& b = boxes_[box];
   const QueryNetwork::Box& model = net_.box(box);
-  const int num_inputs = static_cast<int>(model.in_arcs.size());
-  if (num_inputs == 0) return;
-  int budget = opts_.train_size;
-  // Same chunk rule as AuroraEngine::ActivateBox: a multi-input box takes
-  // one tuple per round-robin turn so its merge interleaving is untouched.
-  const int chunk_cap =
-      num_inputs == 1 ? std::min(budget, opts_.batch_size) : 1;
   // Stack scratch: help-on-full means a ProcessBatch emission can run a
   // downstream box's activation on this same thread, so nothing batched may
   // live in the engine or box.
   TupleBatch batch;
-  batch.Reserve(static_cast<size_t>(chunk_cap));
-  RoutingEmitter emitter(this, box, worker);
-  int idle_scans = 0;
-  while (budget > 0 && idle_scans < num_inputs) {
-    const int input = b.rr_next_input;
-    b.rr_next_input = (b.rr_next_input + 1) % num_inputs;
-    const ArcId arc = model.in_arcs[input];
-    BoundedRing<Tuple>* ring = arc < 0 ? nullptr : rings_[arc].get();
-    const int want = std::min(budget, chunk_cap);
-    batch.Clear();
-    Tuple t;
-    while (ring != nullptr && static_cast<int>(batch.size()) < want &&
-           ring->TryPop(&t)) {
-      // Operators see `now` = the tuple's own timestamp (threaded mode has
-      // no global clock; docs/THREADING.md).
-      const SimTime ts = t.timestamp();
-      batch.Push(std::move(t), ts);
-    }
-    if (batch.empty()) {
-      idle_scans++;
-      continue;
-    }
-    idle_scans = 0;
-    budget -= static_cast<int>(batch.size());
-    Status st;
-    {
-      TupleHotPathSection hot_path;
-      st = model.op->ProcessBatch(input, batch, &emitter);
-    }
-    if (!st.ok()) DeferError(st);
-  }
+  BoxEmitter emitter(box, [&](const Endpoint& from, Tuple* t, size_t n) {
+    RouteChunk(from, t, n, worker);
+  });
+  Status error;
+  RunActivation(
+      model.op.get(), static_cast<int>(model.in_arcs.size()),
+      opts_.train_size, opts_.batch_size, batch, &emitter,
+      [&]() -> int& { return b.rr_next_input; },
+      [&](int input, int want, TupleBatch& out) {
+        const ArcId arc = model.in_arcs[input];
+        int got = 0;
+        Tuple t;
+        while (arc >= 0 && got < want && rings_[arc]->TryPop(&t)) {
+          // Operators see `now` = the tuple's own timestamp (threaded mode
+          // has no global clock; docs/THREADING.md).
+          const SimTime ts = t.timestamp();
+          out.Push(std::move(t), ts);
+          got++;
+        }
+        return got;
+      },
+      &error);
+  if (!error.ok()) DeferError(error);
 }
 
 void ThreadedEngine::PostRun(BoxId box, int worker) {

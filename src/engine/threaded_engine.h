@@ -31,11 +31,8 @@ struct ThreadedEngineOptions {
   /// rings backpressure by running the consumer inline, so this bounds
   /// memory, not correctness.
   size_t ring_capacity = 1024;
-  /// Most tuples per Operator::ProcessBatch call, with the same chunk rule
-  /// as EngineOptions::batch_size: min(batch_size, remaining train budget)
-  /// for a single-input box, one tuple per round-robin turn for a
-  /// multi-input box (so its merge interleaving is untouched). A one-tuple
-  /// chunk runs the operator's scalar Process.
+  /// Most tuples per Operator::ProcessBatch call; the chunk rule is
+  /// RunActivation's (engine/activation.h).
   int batch_size = 1;
 };
 
@@ -175,8 +172,6 @@ class ThreadedEngine {
     std::atomic<uint64_t> delivered{0};
   };
 
-  class RoutingEmitter;
-
   /// Delivers `n` tuples leaving `from` (an input port or a box output) to
   /// every arc out of it — the one routing path for box emissions and
   /// PushInput alike. Box-bound branches take the whole span through the
@@ -199,9 +194,9 @@ class ThreadedEngine {
   /// Claims an un-queued or queued box directly (help path). On success the
   /// box is Running and the caller must PostRun it.
   bool TryClaimForHelp(BoxId box);
-  /// Consumes up to train_size tuples from the box's in-rings, one
-  /// round-robin chunk per ProcessBatch call. Uses only stack scratch —
-  /// help-on-full can nest activations on one thread.
+  /// Activates one box through RunActivation (engine/activation.h), with a
+  /// budget of train_size tuples from its in-rings. Uses only stack scratch
+  /// — help-on-full can nest activations on one thread.
   void RunBoxActivation(BoxId box, int worker);
   /// Post-activation protocol: re-queue if notified or input remains, else
   /// transition to Idle and release the work item.

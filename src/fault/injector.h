@@ -48,10 +48,6 @@ class Injector {
   int heals() const { return heals_; }
   int perturbations() const { return perturbations_; }
   int slowdowns() const { return slowdowns_; }
-  int events_applied() const {
-    return crashes_ + restarts_ + partitions_ + heals_ + perturbations_ +
-           slowdowns_;
-  }
   /// Tuples wiped from crashed nodes' volatile buffers, summed.
   uint64_t tuples_lost() const { return tuples_lost_; }
   /// Detection latencies (crash -> HA detection) observed so far, in ms.

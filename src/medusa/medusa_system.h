@@ -39,7 +39,6 @@ class MedusaSystem {
   Result<Participant*> GetParticipant(const std::string& name);
   /// Owner of a node, or NotFound.
   Result<std::string> ParticipantOfNode(NodeId node) const;
-  size_t num_participants() const { return participants_.size(); }
 
   /// Starts the settlement/oracle timers.
   void Start();
@@ -102,9 +101,6 @@ class MedusaSystem {
 
   double total_transferred() const { return total_transferred_; }
   int total_switches() const { return total_switches_; }
-  const std::vector<ContentContract>& content_contracts() const {
-    return content_;
-  }
   const std::vector<MovementContract>& movement_contracts() const {
     return movement_;
   }

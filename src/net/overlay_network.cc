@@ -51,10 +51,6 @@ void OverlayNetwork::FullMesh(LinkOptions opts) {
   RecomputeRoutes();
 }
 
-bool OverlayNetwork::HasLink(NodeId a, NodeId b) const {
-  return links_.count({a, b}) > 0;
-}
-
 Result<LinkOptions> OverlayNetwork::GetLinkOptions(NodeId a, NodeId b) const {
   auto it = links_.find({a, b});
   if (it == links_.end()) return Status::NotFound("no such link");
@@ -82,13 +78,6 @@ Status OverlayNetwork::SetLinkPerturbation(NodeId a, NodeId b,
   if (it == links_.end()) return Status::NotFound("no such link");
   it->second.pert = pert;
   return Status::OK();
-}
-
-Result<LinkPerturbation> OverlayNetwork::GetLinkPerturbation(NodeId a,
-                                                             NodeId b) const {
-  auto it = links_.find({a, b});
-  if (it == links_.end()) return Status::NotFound("no such link");
-  return it->second.pert;
 }
 
 bool OverlayNetwork::NodeSupports(NodeId id, const std::string& kind) const {

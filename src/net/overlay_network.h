@@ -78,7 +78,6 @@ class OverlayNetwork {
   Status AddLink(NodeId a, NodeId b, LinkOptions opts);
   /// Convenience: full mesh over all current nodes.
   void FullMesh(LinkOptions opts);
-  bool HasLink(NodeId a, NodeId b) const;
   /// Options of the directed link, or NotFound.
   Result<LinkOptions> GetLinkOptions(NodeId a, NodeId b) const;
 
@@ -106,7 +105,6 @@ class OverlayNetwork {
   /// Overwrites any previous perturbation; a default-constructed value
   /// clears it. NotFound without a link.
   Status SetLinkPerturbation(NodeId a, NodeId b, LinkPerturbation pert);
-  Result<LinkPerturbation> GetLinkPerturbation(NodeId a, NodeId b) const;
 
   /// Reseeds the perturbation Rng. Chaos runs call this once up front so
   /// two runs with the same seed and schedule are bit-identical.

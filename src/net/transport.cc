@@ -101,7 +101,6 @@ Status Transport::Send(const std::string& stream, Message msg) {
   st.queued_payload += msg.payload.size();
   st.queue.push_back(std::move(msg));
   st.enqueue_us.push_back(sim_->Now().micros());
-  peak_queued_bytes_ = std::max(peak_queued_bytes_, queued_bytes());
   peak_queued_payload_ = std::max(peak_queued_payload_, queued_payload_bytes());
   MaybeDispatch();
   return Status::OK();

@@ -140,8 +140,6 @@ class Transport {
   size_t queued_messages() const;
   size_t queued_bytes() const;
   size_t queued_bytes(const std::string& stream) const;
-  /// High-water mark of queued_bytes() (wire sizes, headers included).
-  size_t peak_queued_bytes() const { return peak_queued_bytes_; }
   /// Payload bytes currently queued, and their high-water mark — the
   /// quantity the credit window bounds (credit offsets count payload only).
   size_t queued_payload_bytes() const;
@@ -212,7 +210,6 @@ class Transport {
   uint64_t payload_bytes_ = 0;
   uint64_t frames_sent_ = 0;
   uint64_t credit_stalls_ = 0;
-  size_t peak_queued_bytes_ = 0;
   size_t peak_queued_payload_ = 0;
   bool wake_armed_ = false;
   SimTime wake_at_{};

@@ -12,6 +12,9 @@ namespace aurora {
 
 namespace {
 
+/// Spans from the tail of the tracer ring per dump.
+constexpr size_t kDumpSpans = 256;
+
 /// Escapes a free-text field for embedding in a JSON string literal.
 void AppendEscaped(std::ostringstream* os, const std::string& s) {
   for (char c : s) {
@@ -57,20 +60,18 @@ bool FlightRecorder::Trigger(const std::string& event,
   // internally) so racing triggers of *different* events don't serialize on
   // file IO.
   uint64_t seq;
-  size_t max_spans;
   std::string output_dir;
   Sink sink;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!fired_.insert(event).second) return false;  // latched until Rearm
     seq = dumps_++;
-    max_spans = max_spans_;
     output_dir = output_dir_;
     sink = sink_;
   }
 
   Tracer& tracer = Tracer::Global();
-  std::vector<TraceSpan> spans = tracer.TailSpans(max_spans);
+  std::vector<TraceSpan> spans = tracer.TailSpans(kDumpSpans);
   if (now_us < 0 && !spans.empty()) now_us = spans.back().end_us;
 
   std::ostringstream os;

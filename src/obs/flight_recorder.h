@@ -55,16 +55,6 @@ class FlightRecorder {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Max spans from the tail of the tracer ring per dump.
-  void set_max_spans(size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    max_spans_ = n;
-  }
-  size_t max_spans() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return max_spans_;
-  }
-
   /// Directory dumps are written into ("" = cwd).
   void set_output_dir(std::string dir) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -101,7 +91,6 @@ class FlightRecorder {
   std::atomic<bool> enabled_{false};
   /// Guards latch state, dump sequencing, and the sink/config fields.
   mutable std::mutex mu_;
-  size_t max_spans_ = 256;
   std::string output_dir_;
   Sink sink_;
   std::set<std::string> fired_;

@@ -105,9 +105,6 @@ class Tracer {
   void set_sample_period(uint64_t n) {
     sample_period_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
   }
-  uint64_t sample_period() const {
-    return sample_period_.load(std::memory_order_relaxed);
-  }
 
   /// Stores the span (no-op while disabled; evicts the oldest at capacity).
   void Record(TraceSpan span);

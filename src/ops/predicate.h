@@ -73,8 +73,6 @@ class Predicate {
   /// Fails with InvalidArgument past kMaxDecodeDepth nested levels.
   static Result<Predicate> Decode(Decoder* dec);
 
-  bool is_true() const { return kind_ == Kind::kTrue; }
-
  private:
   enum class Kind : uint8_t { kTrue = 0, kCompare, kAnd, kOr, kNot, kHash };
 

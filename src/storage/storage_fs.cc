@@ -99,12 +99,6 @@ void MemStorageFs::Crash() {
   }
 }
 
-uint64_t MemStorageFs::TotalBytes() const {
-  uint64_t total = 0;
-  for (const auto& [name, f] : files_) total += f.data.size();
-  return total;
-}
-
 uint64_t MemStorageFs::UnsyncedBytes(const std::string& path) const {
   auto it = files_.find(path);
   if (it == files_.end()) return 0;

@@ -92,8 +92,6 @@ class MemStorageFs final : public StorageFs {
   uint64_t syncs() const { return syncs_; }
   uint64_t bytes_appended() const { return bytes_appended_; }
   uint64_t crashes() const { return crashes_; }
-  size_t num_files() const { return files_.size(); }
-  uint64_t TotalBytes() const;
   /// Bytes of `path` not yet durable; 0 when absent.
   uint64_t UnsyncedBytes(const std::string& path) const;
   /// FNV-1a digest over every (name, content) pair in sorted order — one

@@ -129,7 +129,6 @@ class TieredStore {
   size_t aof_bytes() const { return aof_bytes_; }
   size_t page_bytes() const { return page_bytes_; }
   size_t num_pages() const;
-  size_t pending_compactions() const { return compact_queue_.size(); }
 
   /// Node id stamped on this store's trace-0 kStorage spans (fsync windows,
   /// compactions); -1 for a standalone store.

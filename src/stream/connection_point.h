@@ -53,7 +53,6 @@ class ConnectionPoint {
   void BindStorage(TieredStore* store, std::string stream, size_t mem_tuples,
                    SchemaPtr schema);
   bool storage_bound() const { return store_ != nullptr; }
-  const std::string& storage_stream() const { return stream_; }
 
   /// Records a tuple passing through the point.
   void Record(const Tuple& t, SimTime now);

@@ -41,21 +41,13 @@ class StreamQueue {
 
   void Push(Tuple t) {
     bytes_ += t.WireSize();
-    total_pushed_++;
     items_.push_back(std::move(t));
-    if (items_.size() > peak_size_) peak_size_ = items_.size();
-    if (bytes_ > peak_bytes_) peak_bytes_ = bytes_;
   }
 
   bool empty() const { return items_.empty(); }
   size_t size() const { return items_.size(); }
   /// Total bytes queued (resident + spilled).
   size_t bytes() const { return bytes_; }
-  uint64_t total_pushed() const { return total_pushed_; }
-  /// High-water marks since construction (not cleared by Clear()), the
-  /// per-queue numbers the observability layer exports.
-  size_t peak_size() const { return peak_size_; }
-  size_t peak_bytes() const { return peak_bytes_; }
 
   const Tuple& Front() const {
     AURORA_DCHECK(!items_.empty());
@@ -120,7 +112,6 @@ class StreamQueue {
     AURORA_DCHECK(spilled_count_ == 0);
     sink_ = sink;
   }
-  SpillSink* spill_sink() const { return sink_; }
 
   /// Direct iteration for drain/inspection (HA output logs, stabilization).
   /// Spilled slots hold metadata stubs (seq/timestamp valid, no values).
@@ -129,11 +120,8 @@ class StreamQueue {
  private:
   std::deque<Tuple> items_;
   size_t bytes_ = 0;
-  size_t peak_size_ = 0;
-  size_t peak_bytes_ = 0;
   size_t spilled_count_ = 0;
   size_t spilled_bytes_ = 0;
-  uint64_t total_pushed_ = 0;
   uint64_t unspill_reads_ = 0;
   SpillSink* sink_ = nullptr;
   /// Original WireSize of each spilled slot, FIFO-parallel to the spilled

@@ -277,6 +277,77 @@ TEST(EngineTest, DeferredOperatorErrorSurfaces) {
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
 }
 
+// An output callback runs inside the ProcessBatch of the box that feeds it,
+// and may grow the network there. On its first delivery this one adds a
+// chain of 64 filters from a new input to an existing output, enough boxes
+// and arcs to reallocate the engine's per-box and per-arc arrays and the
+// model's, while the union's activation still has tuples queued on both
+// inputs. The activation must re-read them after every ProcessBatch call.
+// The callback adds no output port: that would reallocate the callback
+// table under the running callback.
+TEST(EngineTest, CallbackGrowsNetworkMidActivation) {
+  auto run = [](bool grow, std::vector<int64_t>* chain_rows) {
+    AuroraEngine engine;
+    PortId in0 = *engine.AddInput("in0", SchemaAB());
+    PortId in1 = *engine.AddInput("in1", SchemaAB());
+    PortId out = *engine.AddOutput("out");
+    PortId chain = *engine.AddOutput("chain");
+    BoxId u = *engine.AddBox(UnionSpec(2));
+    AURORA_CHECK(engine.Connect(Endpoint::InputPort(in0),
+                                Endpoint::BoxPort(u, 0)).ok());
+    AURORA_CHECK(engine.Connect(Endpoint::InputPort(in1),
+                                Endpoint::BoxPort(u, 1)).ok());
+    AURORA_CHECK(engine.Connect(Endpoint::BoxPort(u, 0),
+                                Endpoint::OutputPort(out)).ok());
+    AURORA_CHECK(engine.InitializeBoxes().ok());
+    std::vector<int64_t> rows;
+    PortId side = -1;
+    engine.SetOutputCallback(out, [&](const Tuple& t, SimTime) {
+      rows.push_back(GetInt(t, "A"));
+      if (!grow || side >= 0) return;
+      side = *engine.AddInput("side", SchemaAB());
+      Endpoint from = Endpoint::InputPort(side);
+      for (int i = 0; i < 64; ++i) {
+        BoxId f = *engine.AddBox(FilterSpec(
+            Predicate::Compare("B", CompareOp::kGe, Value(int64_t{0}))));
+        AURORA_CHECK(engine.Connect(from, Endpoint::BoxPort(f, 0)).ok());
+        from = Endpoint::BoxPort(f, 0);
+      }
+      AURORA_CHECK(engine.Connect(from, Endpoint::OutputPort(chain)).ok());
+      AURORA_CHECK(engine.InitializeBoxes().ok());
+    });
+    engine.SetOutputCallback(chain, [chain_rows](const Tuple& t, SimTime) {
+      chain_rows->push_back(GetInt(t, "A"));
+    });
+    for (int64_t i = 0; i < 10; ++i) {
+      AURORA_CHECK(engine.PushInput(in0, T(i, 0), SimTime()).ok());
+      AURORA_CHECK(engine.PushInput(in1, T(100 + i, 1), SimTime()).ok());
+    }
+    // One step is one activation of the union, and it drains both inputs.
+    AURORA_CHECK(engine.RunOneStep(SimTime()).ok());
+    EXPECT_EQ(engine.total_activations(), 1u);
+    EXPECT_EQ(side >= 0, grow);
+    if (side >= 0) {
+      EXPECT_EQ(engine.num_boxes(), 65u);
+      AURORA_CHECK(engine.PushInput(side, T(7, 7), SimTime()).ok());
+      AURORA_CHECK(engine.RunUntilQuiescent(SimTime()).ok());
+    }
+    return rows;
+  };
+  std::vector<int64_t> unused;
+  const std::vector<int64_t> plain = run(false, &unused);
+  std::vector<int64_t> chain_rows;
+  const std::vector<int64_t> grown = run(true, &chain_rows);
+  EXPECT_EQ(grown, plain);
+  std::vector<int64_t> sorted = grown;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int64_t> pushed;
+  for (int64_t i = 0; i < 10; ++i) pushed.push_back(i);
+  for (int64_t i = 0; i < 10; ++i) pushed.push_back(100 + i);
+  EXPECT_EQ(sorted, pushed);  // every union tuple exactly once
+  EXPECT_EQ(chain_rows, std::vector<int64_t>{7});
+}
+
 // A map emits a freshly built tuple, so its lineage comes from the emitter
 // wrappers: the output carries the input's trace id at batch 1 (the scalar
 // Process path) and above (BatchEmitter).

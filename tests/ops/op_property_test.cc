@@ -414,10 +414,10 @@ struct OracleRun {
   std::string first_error;  // empty when every Process/ProcessBatch was OK
 };
 
-/// Replicates the scheduler's per-tuple trace propagation (AuroraEngine's
-/// RoutingEmitter): everything emitted while processing tuple t inherits
-/// t's trace id unless already traced. ProcessBatch folds this stamping
-/// into its BatchEmitter, so the scalar oracle must model it too.
+/// Replicates the per-tuple trace propagation the engines see: everything
+/// emitted while processing tuple t inherits t's trace id unless already
+/// traced. ProcessBatch folds this stamping into its BatchEmitter, so the
+/// scalar oracle must model it too.
 class TraceStampingEmitter : public Emitter {
  public:
   explicit TraceStampingEmitter(Emitter* inner) : inner_(inner) {}
