@@ -221,9 +221,10 @@ BENCHMARK(BM_HotPath)
 // The batch_size axis: the same chain with the engine's ProcessBatch path
 // at 1 (scalar baseline), 8, and 64 tuples per activation. Narrow numeric
 // configs are where batching pays most (vectorized predicate/expr
-// evaluation plus chunked arc enqueues); the string configs measure the
-// StrColumn + identity-projection path, which keeps wide string schemas on
-// the batched path instead of falling back to scalar evaluation. A fixed
+// evaluation plus chunked arc enqueues); in the string configs Map copies
+// the string fields through its bound indices, which keeps wide string
+// rows on the batched path (the filter compares the int field `v`, so no
+// string column is built). A fixed
 // iteration count makes each row's `tuples` repeat from run to run, so
 // scripts/run_gates.sh can diff the rows once their wall-clock fields are
 // dropped.

@@ -134,8 +134,8 @@ inline uint64_t& GlobalSeed() {
   return seed;
 }
 
-/// Iteration override from `--iters=N` (0 = each bench's default). The CI
-/// chaos smoke passes `--iters 1` to bound sweep cost.
+/// Iteration override from `--iters=N` (0 = each bench's default). The
+/// gates (scripts/run_gates.sh) pass `--iters 1` to bound sweep cost.
 inline int& GlobalIters() {
   static int iters = 0;
   return iters;

@@ -98,10 +98,10 @@ Status Transport::Send(const std::string& stream, Message msg) {
     msg.flow_offset = st.enqueued_offset;
   }
   st.queued_bytes += msg.WireSize();
-  st.queued_payload += msg.payload.size();
+  queued_payload_ += msg.payload.size();
   st.queue.push_back(std::move(msg));
   st.enqueue_us.push_back(sim_->Now().micros());
-  peak_queued_payload_ = std::max(peak_queued_payload_, queued_payload_bytes());
+  peak_queued_payload_ = std::max(peak_queued_payload_, queued_payload_);
   MaybeDispatch();
   return Status::OK();
 }
@@ -372,7 +372,7 @@ void Transport::DispatchTrain(const std::string& stream, size_t k,
   st.queue.erase(st.queue.begin(), st.queue.begin() + k);
   st.enqueue_us.erase(st.enqueue_us.begin(), st.enqueue_us.begin() + k);
   st.queued_bytes -= sub_wire;
-  st.queued_payload -= sub_payload;
+  queued_payload_ -= sub_payload;
   frame.tuple_count = tuples;
   frame.flow_offset = flow_offset;
   if (flow_enabled()) st.sent_offset = flow_offset;
@@ -463,12 +463,6 @@ size_t Transport::queued_bytes() const {
 size_t Transport::queued_bytes(const std::string& stream) const {
   auto it = streams_.find(stream);
   return it == streams_.end() ? 0 : it->second.queued_bytes;
-}
-
-size_t Transport::queued_payload_bytes() const {
-  size_t n = 0;
-  for (const auto& [name, st] : streams_) n += st.queued_payload;
-  return n;
 }
 
 }  // namespace aurora

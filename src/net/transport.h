@@ -142,7 +142,7 @@ class Transport {
   size_t queued_bytes(const std::string& stream) const;
   /// Payload bytes currently queued, and their high-water mark — the
   /// quantity the credit window bounds (credit offsets count payload only).
-  size_t queued_payload_bytes() const;
+  size_t queued_payload_bytes() const { return queued_payload_; }
   size_t peak_queued_payload_bytes() const { return peak_queued_payload_; }
   uint64_t credit_stalls() const { return credit_stalls_; }
 
@@ -155,7 +155,6 @@ class Transport {
     uint64_t delivered = 0;
     uint64_t delivered_bytes = 0;
     size_t queued_bytes = 0;
-    size_t queued_payload = 0;
     // Flow control (cumulative payload-byte offsets; see FLOW_CONTROL.md).
     uint64_t enqueued_offset = 0;  // bytes ever handed to Send()
     uint64_t sent_offset = 0;      // bytes ever put on the wire
@@ -210,6 +209,7 @@ class Transport {
   uint64_t payload_bytes_ = 0;
   uint64_t frames_sent_ = 0;
   uint64_t credit_stalls_ = 0;
+  size_t queued_payload_ = 0;  // over every stream
   size_t peak_queued_payload_ = 0;
   bool wake_armed_ = false;
   SimTime wake_at_{};

@@ -82,60 +82,6 @@ Status JoinOp::ProcessImpl(int input, const Tuple& t, SimTime now,
   return Status::OK();
 }
 
-Status JoinOp::ProcessBatchImpl(int input, TupleBatch& batch,
-                                BatchEmitter* emitter) {
-  if (input < 0 || input > 1) {
-    return Status::InvalidArgument("bad join input " + std::to_string(input));
-  }
-  const size_t probe_key = input == 0 ? left_key_index_ : right_key_index_;
-  const size_t build_key = input == 0 ? right_key_index_ : left_key_index_;
-  std::deque<Tuple>& own = input == 0 ? left_buffer_ : right_buffer_;
-  std::deque<Tuple>& other = input == 0 ? right_buffer_ : left_buffer_;
-  bool memo_valid = false;
-  Value memo_key;
-  SimTime memo_ts{};
-  SimTime memo_now{};
-  match_scratch_.clear();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Tuple& t = batch.tuple(i);
-    NoteBatchTupleIn(input, t);
-    emitter->SetCurrent(t);
-    SimTime now = batch.now(i);
-    // Expire every tuple, exactly like the scalar loop. When `now` repeats,
-    // this can only pop tuples appended to `own` since the memo scan — the
-    // opposite buffer was already expired at this `now`, so the memoized
-    // positions stay valid.
-    ExpireOld(now);
-    const Value& key = t.value(probe_key);
-    bool reuse = memo_valid && now == memo_now && t.timestamp() == memo_ts &&
-                 key == memo_key;
-    if (!reuse) {
-      match_scratch_.clear();
-      for (size_t b = 0; b < other.size(); ++b) {
-        const Tuple& o = other[b];
-        if (o.value(build_key) == key &&
-            o.timestamp() + window_ >= t.timestamp() &&
-            t.timestamp() + window_ >= o.timestamp()) {
-          match_scratch_.push_back(b);
-        }
-      }
-      memo_valid = true;
-      memo_key = key;
-      memo_ts = t.timestamp();
-      memo_now = now;
-    }
-    for (size_t b : match_scratch_) {
-      if (input == 0) {
-        EmitJoined(t, other[b], emitter);
-      } else {
-        EmitJoined(other[b], t, emitter);
-      }
-    }
-    own.push_back(t);
-  }
-  return Status::OK();
-}
-
 SeqNo JoinOp::StatefulDependency(int input) const {
   const std::deque<Tuple>& buf = input == 0 ? left_buffer_ : right_buffer_;
   SeqNo min_seq = kNoSeqNo;

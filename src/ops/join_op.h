@@ -26,15 +26,6 @@ class JoinOp : public Operator {
   Status InitImpl() override;
   Status ProcessImpl(int input, const Tuple& t, SimTime now,
                      Emitter* emitter) override;
-  /// Probe-side batch: the whole batch probes the opposite buffer with the
-  /// key index hoisted out of the loop, and consecutive probes with equal
-  /// (key, timestamp, now) reuse the memoized match positions instead of
-  /// rescanning the buffer (the opposite buffer cannot change between
-  /// them — the batch only appends to its own side, and re-expiring at the
-  /// same `now` pops nothing the memo scan saw). Emission order, buffer
-  /// contents, and drop behaviour are bit-identical to the scalar loop.
-  Status ProcessBatchImpl(int input, TupleBatch& batch,
-                          BatchEmitter* emitter) override;
   SeqNo StatefulDependency(int input) const override;
 
  private:
@@ -48,9 +39,6 @@ class JoinOp : public Operator {
   SimDuration window_{};
   std::deque<Tuple> left_buffer_;
   std::deque<Tuple> right_buffer_;
-  /// Memoized probe scratch for ProcessBatchImpl: positions in the
-  /// opposite buffer matched by the previous probe tuple.
-  std::vector<size_t> match_scratch_;
 };
 
 }  // namespace aurora

@@ -174,10 +174,11 @@ class Operator {
   virtual Status InitImpl() = 0;
   virtual Status ProcessImpl(int input, const Tuple& t, SimTime now,
                              Emitter* emitter) = 0;
-  /// Batched hook; default loops ProcessImpl over the batch. Overrides must
-  /// call NoteBatchTupleIn + emitter->SetCurrent for every tuple consumed,
-  /// keep scalar emission order, and continue past per-tuple errors
-  /// (returning the first).
+  /// Batched hook; default loops ProcessImpl over the batch. Override it
+  /// only with a columnar kernel the benchmark runs (Filter and Map do).
+  /// Overrides must call NoteBatchTupleIn + emitter->SetCurrent for every
+  /// tuple consumed, keep scalar emission order, and continue past
+  /// per-tuple errors (returning the first).
   virtual Status ProcessBatchImpl(int input, TupleBatch& batch,
                                   BatchEmitter* emitter);
   /// Per-tuple base bookkeeping on the batched path (lineage tracking and

@@ -100,66 +100,6 @@ Status TumbleOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
   return Status::OK();
 }
 
-Status TumbleOp::ProcessBatchImpl(int input, TupleBatch& batch,
-                                  BatchEmitter* emitter) {
-  if (!every_n_) {
-    // Run-based mode keys off the single open run; per-tuple path is
-    // already one vector compare per tuple.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Tuple& t = batch.tuple(i);
-      NoteBatchTupleIn(input, t);
-      emitter->SetCurrent(t);
-      AURORA_RETURN_NOT_OK(ProcessImpl(input, t, batch.now(i), emitter));
-    }
-    return Status::OK();
-  }
-  // every_n: memoize the last probed window. Pointers into the map survive
-  // rehash (only iterators are invalidated); the memo is dropped whenever
-  // its window closes. Memo equality is element-wise Value::Compare — the
-  // same equivalence ValueVectorEq gives the map.
-  const std::vector<Value>* memo_key = nullptr;
-  Window* memo_win = nullptr;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Tuple& t = batch.tuple(i);
-    NoteBatchTupleIn(input, t);
-    emitter->SetCurrent(t);
-    const std::vector<Value>& key = KeyOf(t);
-    const std::vector<Value>* wkey;
-    Window* w;
-    if (memo_win != nullptr && key == *memo_key) {
-      wkey = memo_key;
-      w = memo_win;
-    } else {
-      auto it = open_.find(key);
-      if (it == open_.end()) {
-        Window nw;
-        nw.agg = proto_agg_->Clone();
-        nw.agg->Reset();
-        nw.start_ts = t.timestamp();
-        it = open_.emplace(std::move(key_scratch_), std::move(nw)).first;
-      }
-      wkey = &it->first;
-      w = &it->second;
-    }
-    w->agg->Update(t.value(agg_index_));
-    if (t.seq() != kNoSeqNo && (w->min_seq == kNoSeqNo || t.seq() < w->min_seq)) {
-      w->min_seq = t.seq();
-    }
-    if (w->agg->count() >= n_) {
-      EmitWindow(*wkey, *w, emitter);
-      // Copy the key out before erasing: wkey aliases the map node.
-      std::vector<Value> dead = *wkey;
-      open_.erase(dead);
-      memo_key = nullptr;
-      memo_win = nullptr;
-    } else {
-      memo_key = wkey;
-      memo_win = w;
-    }
-  }
-  return Status::OK();
-}
-
 void TumbleOp::Drain(Emitter* emitter) {
   if (every_n_) {
     // Drain order is observable; sort the keys so the hash map drains in

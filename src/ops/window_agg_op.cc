@@ -41,22 +41,31 @@ const std::vector<Value>& WindowAggOp::KeyOf(const Tuple& t) {
   return key_scratch_;
 }
 
-void WindowAggOp::StepGroup(const std::vector<Value>& stored_key,
-                            GroupState& g, const Tuple& t, Emitter* emitter) {
+Status WindowAggOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
+  const std::vector<Value>& key = KeyOf(t);
+  auto it = groups_.find(key);
+  if (it == groups_.end()) {
+    // Moving the scratch donates its buffer to the stored key; KeyOf
+    // rebuilds it next call.
+    it = groups_.emplace(std::move(key_scratch_), GroupState{}).first;
+  }
+  GroupState& g = it->second;
   g.buffer.push_back(t);
   if (g.buffer.size() > window_) g.buffer.pop_front();
   if (!g.primed) {
-    if (g.buffer.size() < window_) return;
+    if (g.buffer.size() < window_) return Status::OK();
   } else {
     g.since_last_emit++;
-    if (g.since_last_emit < advance_) return;
+    if (g.since_last_emit < advance_) return Status::OK();
   }
   // Window full and aligned with the advance stride: aggregate and emit.
   auto agg = proto_agg_->Clone();
   agg->Reset();
   for (const auto& buffered : g.buffer) agg->Update(buffered.value(agg_index_));
-  Tuple::Builder row(output_schema(0), stored_key.size() + 1);
-  for (const Value& v : stored_key) row.Append(v);
+  // it->first, not `key`: the scratch behind `key` may have been moved into
+  // the map when this group was created.
+  Tuple::Builder row(output_schema(0), it->first.size() + 1);
+  for (const Value& v : it->first) row.Append(v);
   row.Append(agg->Final());
   Tuple out = row.Finish();
   out.set_timestamp(g.buffer.front().timestamp());
@@ -69,44 +78,6 @@ void WindowAggOp::StepGroup(const std::vector<Value>& stored_key,
   emitter->Emit(0, std::move(out));
   g.primed = true;
   g.since_last_emit = 0;
-}
-
-Status WindowAggOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
-  const std::vector<Value>& key = KeyOf(t);
-  auto it = groups_.find(key);
-  if (it == groups_.end()) {
-    // Moving the scratch donates its buffer to the stored key; KeyOf
-    // rebuilds it next call.
-    it = groups_.emplace(std::move(key_scratch_), GroupState{}).first;
-  }
-  // it->first, not `key`: the scratch behind `key` may have been moved into
-  // the map when this group was created.
-  StepGroup(it->first, it->second, t, emitter);
-  return Status::OK();
-}
-
-Status WindowAggOp::ProcessBatchImpl(int input, TupleBatch& batch,
-                                     BatchEmitter* emitter) {
-  // Memoize the last probed group across consecutive same-key tuples.
-  // Pointers into the map survive rehash (only iterators are invalidated)
-  // and nothing erases groups mid-stream.
-  const std::vector<Value>* memo_key = nullptr;
-  GroupState* memo_state = nullptr;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Tuple& t = batch.tuple(i);
-    NoteBatchTupleIn(input, t);
-    emitter->SetCurrent(t);
-    const std::vector<Value>& key = KeyOf(t);
-    if (memo_state == nullptr || !(key == *memo_key)) {
-      auto it = groups_.find(key);
-      if (it == groups_.end()) {
-        it = groups_.emplace(std::move(key_scratch_), GroupState{}).first;
-      }
-      memo_key = &it->first;
-      memo_state = &it->second;
-    }
-    StepGroup(*memo_key, *memo_state, t, emitter);
-  }
   return Status::OK();
 }
 

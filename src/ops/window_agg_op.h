@@ -31,11 +31,6 @@ class WindowAggOp : public Operator {
   Status InitImpl() override;
   Status ProcessImpl(int input, const Tuple& t, SimTime now,
                      Emitter* emitter) override;
-  /// Drains the whole batch through the group state, memoizing the
-  /// GroupKeyMap probe across consecutive same-group tuples. Groups are
-  /// never erased mid-stream, so the memo pointer survives the batch.
-  Status ProcessBatchImpl(int input, TupleBatch& batch,
-                          BatchEmitter* emitter) override;
   SeqNo StatefulDependency(int input) const override;
 
  private:
@@ -49,12 +44,6 @@ class WindowAggOp : public Operator {
   /// init) and returns it; no per-tuple allocation once the scratch has
   /// capacity. Callers that store the key move key_scratch_ out.
   const std::vector<Value>& KeyOf(const Tuple& t);
-
-  /// Buffers `t` into `g` and emits the window aggregate when full and
-  /// aligned with the advance stride. `stored_key` is the map's own key
-  /// vector for the group. Shared by the scalar and batched paths.
-  void StepGroup(const std::vector<Value>& stored_key, GroupState& g,
-                 const Tuple& t, Emitter* emitter);
 
   std::string agg_name_;
   size_t agg_index_ = 0;

@@ -54,43 +54,6 @@ Status WSortOp::ProcessImpl(int, const Tuple& t, SimTime now,
   return Status::OK();
 }
 
-Status WSortOp::ProcessBatchImpl(int input, TupleBatch& batch,
-                                 BatchEmitter* emitter) {
-  if (max_buffer_ > 0) {
-    // Mid-batch emissions move the watermark tuple by tuple; keep the
-    // scalar loop so drop decisions stay bit-identical.
-    return Operator::ProcessBatchImpl(input, batch, emitter);
-  }
-  const size_t n = batch.size();
-  batch_entries_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    const Tuple& t = batch.tuple(i);
-    NoteBatchTupleIn(input, t);
-    emitter->SetCurrent(t);
-    const std::vector<Value>& key = KeyOf(t);
-    if (watermark_.has_value() && ValueVectorLess()(key, *watermark_)) {
-      ++dropped_;
-      continue;
-    }
-    batch_entries_.emplace_back(std::move(key_scratch_), i);
-    if (!emitted_any_) last_emit_ = batch.now(i);
-  }
-  // Single sort per batch; stable sort keeps arrival order among equal
-  // keys, and each upper_bound hint lands the insert after every equal key
-  // already in the tree — exactly where the scalar per-tuple emplace puts
-  // it.
-  std::stable_sort(batch_entries_.begin(), batch_entries_.end(),
-                   [](const auto& a, const auto& b) {
-                     return ValueVectorLess()(a.first, b.first);
-                   });
-  for (auto& [key, idx] : batch_entries_) {
-    buffer_.emplace_hint(buffer_.upper_bound(key), std::move(key),
-                         batch.tuple(idx));
-  }
-  batch_entries_.clear();
-  return Status::OK();
-}
-
 void WSortOp::OnTick(SimTime now, Emitter* emitter) {
   if (timeout_.micros() <= 0) return;  // "large enough timeout" mode
   while (!buffer_.empty() && now - last_emit_ >= timeout_) {

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "ops/operator.h"
@@ -41,14 +40,6 @@ class WSortOp : public Operator {
   Status InitImpl() override;
   Status ProcessImpl(int input, const Tuple& t, SimTime now,
                      Emitter* emitter) override;
-  /// Batched insert: when max_buffer == 0 nothing is emitted mid-batch, so
-  /// the watermark is constant across the batch — one pass does the lossy
-  /// drop checks, then a single stable sort orders the admitted tuples and
-  /// upper_bound-hinted inserts merge them into the tree, reproducing the
-  /// scalar path's equal-key order exactly. max_buffer > 0 moves the
-  /// watermark tuple by tuple, so it keeps the scalar loop.
-  Status ProcessBatchImpl(int input, TupleBatch& batch,
-                          BatchEmitter* emitter) override;
   SeqNo StatefulDependency(int input) const override;
 
  private:
@@ -62,9 +53,6 @@ class WSortOp : public Operator {
   size_t max_buffer_ = 0;
   std::vector<size_t> sort_indices_;
   std::vector<Value> key_scratch_;
-  /// Per-batch scratch for ProcessBatchImpl: (key, batch index) pairs of
-  /// the admitted tuples. Member to keep capacity warm.
-  std::vector<std::pair<std::vector<Value>, size_t>> batch_entries_;
   // The ordered buffer IS the sort — this one stays a tree.
   std::multimap<std::vector<Value>, Tuple, ValueVectorLess> buffer_;
   std::optional<std::vector<Value>> watermark_;

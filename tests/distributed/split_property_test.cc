@@ -37,6 +37,11 @@ std::string CaseName(const ::testing::TestParamInfo<SplitCase>& info) {
   return name;
 }
 
+// Test listings name a case, not its bytes.
+void PrintTo(const SplitCase& c, std::ostream* os) {
+  *os << CaseName(::testing::TestParamInfo<SplitCase>(c, 0));
+}
+
 class SplitTransparencyTest : public ::testing::TestWithParam<SplitCase> {};
 
 // Runs the Figure-2-style query (Tumble agg(B) groupby A) over `stream`,

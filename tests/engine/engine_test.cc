@@ -10,6 +10,16 @@
 #include "tests/test_util.h"
 
 namespace aurora {
+
+// Test listings name a policy, not its bytes. Argument-dependent lookup
+// finds it here, in the enum's own namespace.
+void PrintTo(SchedulerPolicy p, std::ostream* os) {
+  static const char* const kNames[] = {"RoundRobin", "LongestQueue",
+                                       "MinOutputDistance", "TupleAtATime",
+                                       "QoSSlack"};
+  *os << kNames[static_cast<int>(p)];
+}
+
 namespace {
 
 using testing_util::GetInt;

@@ -15,6 +15,16 @@
 #include "tests/test_util.h"
 
 namespace aurora {
+
+// Test listings name a policy, not its bytes. Argument-dependent lookup
+// finds it here, in the enum's own namespace.
+void PrintTo(SchedulerPolicy p, std::ostream* os) {
+  static const char* const kNames[] = {"RoundRobin", "LongestQueue",
+                                       "MinOutputDistance", "TupleAtATime",
+                                       "QoSSlack"};
+  *os << kNames[static_cast<int>(p)];
+}
+
 namespace {
 
 using testing_util::SchemaAB;
@@ -486,9 +496,7 @@ TEST_P(PolicyPickTest, StepsMatchReferencePicks) {
 }
 
 std::string PolicyName(const ::testing::TestParamInfo<SchedulerPolicy>& info) {
-  static const char* const kNames[] = {"RoundRobin", "TupleAtATime",
-                                       "LongestQueue", "MinOutputDistance"};
-  return kNames[info.index];  // kPickPolicies' order
+  return ::testing::PrintToString(info.param);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, PolicyPickTest,

@@ -123,7 +123,13 @@ TEST(TransportTest, PerStreamModeCostsMoreOverhead) {
         (void)tx.Send("s" + std::to_string(s), std::move(m));
       }
     }
+    // Every message carries 100 payload bytes: the running total is the
+    // sum over all the streams' queues, and it drains back to 0.
+    EXPECT_GT(tx.queued_messages(), static_cast<size_t>(streams));
+    EXPECT_EQ(tx.queued_payload_bytes(), tx.queued_messages() * 100);
     rig.sim.RunAll();
+    EXPECT_EQ(tx.queued_messages(), 0u);
+    EXPECT_EQ(tx.queued_payload_bytes(), 0u);
     return tx.overhead_bytes();
   };
   // "As the number of message streams grows, the overhead of running

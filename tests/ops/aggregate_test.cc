@@ -104,6 +104,12 @@ struct CombineCase {
   uint64_t seed;
 };
 
+// Test listings name a case, not its bytes (the first of which are a
+// pointer, so they change from run to run).
+void PrintTo(const CombineCase& c, std::ostream* os) {
+  *os << c.agg << "_n" << c.n << "_split" << c.split << "_seed" << c.seed;
+}
+
 class CombinePropertyTest : public ::testing::TestWithParam<CombineCase> {};
 
 TEST_P(CombinePropertyTest, CombineEqualsWhole) {

@@ -27,6 +27,11 @@ struct SeedCase {
   int n;
 };
 
+// Test listings name a case, not its bytes.
+void PrintTo(const SeedCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_n" << c.n;
+}
+
 class WSortPropertyTest : public ::testing::TestWithParam<SeedCase> {};
 
 // Invariant: whatever arrives, the emitted sequence (including drain) is
@@ -277,6 +282,11 @@ struct WindowCase {
   int64_t window;
   int64_t advance;
 };
+
+void PrintTo(const WindowCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_n" << c.n << "_window" << c.window
+      << "_advance" << c.advance;
+}
 
 class WindowAggPropertyTest : public ::testing::TestWithParam<WindowCase> {};
 
@@ -556,6 +566,8 @@ struct BatchOpCase {
   int n;
 };
 
+void PrintTo(const BatchOpCase& c, std::ostream* os) { *os << c.name; }
+
 /// Every unary operator kind under one sweep. Batch sizes cover the
 /// degenerate (1), small primes that never divide the stream (2, 7 — odd
 /// tails), and the bench's wide setting (64, larger than most streams).
@@ -692,7 +704,7 @@ TEST_P(BatchOracleTest, TumbleEveryN) {
   auto spec = TumbleSpec("cnt", "B", {"A"});
   spec.SetParam("emit", Value("every_n"));
   spec.SetParam("n", Value(int64_t{3}));
-  // Small key range: consecutive same-key tuples exercise the group memo.
+  // Small key range: consecutive same-key tuples close windows mid-batch.
   CheckAllBatchSizes(spec, schema,
                      BatchStream(schema, c.seed + 7, c.n, 2, 0, 99), true);
 }
@@ -722,8 +734,8 @@ TEST_P(BatchOracleTest, WSort) {
 TEST_P(BatchOracleTest, WSortUnbounded) {
   const auto& c = GetParam();
   const SchemaPtr schema = SchemaAB();
-  // max_buffer=0: nothing is emitted mid-batch, so WSort's bulk-insert
-  // fast path (one stable sort + hinted tree merge per batch) engages.
+  // max_buffer=0 and no timeout: nothing leaves before the drain, which
+  // must emit equal keys in arrival order.
   CheckAllBatchSizes(WSortSpec({"A"}, /*timeout_us=*/0, /*max_buffer=*/0),
                      schema, BatchStream(schema, c.seed + 12, c.n, 1000, 0, 9),
                      true);
@@ -811,10 +823,10 @@ TEST(BatchOracleMultiInputTest, JoinDefaultLoopMatchesScalar) {
   EXPECT_EQ(run(false), run(true));
 }
 
-// Probe-side batching with the (key, timestamp) match memo: runs of
-// identical probes, advancing timestamps (expiry between runs), and a
-// post-probe scalar push that checks the probe buffer came out identical.
-TEST(BatchOracleMultiInputTest, JoinProbeBatchMemoMatchesScalar) {
+// A batch of probes against a buffered opposite side: runs of identical
+// probes, advancing timestamps (expiry between runs), and a post-probe
+// scalar push that checks the probe buffer came out identical.
+TEST(BatchOracleMultiInputTest, JoinRepeatedProbesMatchScalar) {
   SchemaPtr left = SchemaAB();
   SchemaPtr right = Schema::Make(
       {Field{"K", ValueType::kInt64}, Field{"V", ValueType::kInt64}});
