@@ -20,8 +20,8 @@ Expr Expr::Arith(ArithOp op, Expr lhs, Expr rhs) {
   Expr e;
   e.kind_ = Kind::kArith;
   e.op_ = op;
-  e.children_.push_back(std::make_shared<const Expr>(std::move(lhs)));
-  e.children_.push_back(std::make_shared<const Expr>(std::move(rhs)));
+  e.children_.push_back(std::move(lhs));
+  e.children_.push_back(std::move(rhs));
   return e;
 }
 
@@ -37,8 +37,8 @@ Status Expr::Bind(const SchemaPtr& input) const {
     case Kind::kConst:
       return Status::OK();
     case Kind::kArith:
-      AURORA_RETURN_NOT_OK(children_[0]->Bind(input));
-      return children_[1]->Bind(input);
+      AURORA_RETURN_NOT_OK(children_[0].Bind(input));
+      return children_[1].Bind(input);
   }
   return Status::Internal("bad expr kind");
 }
@@ -54,8 +54,8 @@ Result<Value> Expr::Eval(const Tuple& t) const {
     case Kind::kConst:
       return constant_;
     case Kind::kArith: {
-      AURORA_ASSIGN_OR_RETURN(Value l, children_[0]->Eval(t));
-      AURORA_ASSIGN_OR_RETURN(Value r, children_[1]->Eval(t));
+      AURORA_ASSIGN_OR_RETURN(Value l, children_[0].Eval(t));
+      AURORA_ASSIGN_OR_RETURN(Value r, children_[1].Eval(t));
       bool ints = l.type() == ValueType::kInt64 && r.type() == ValueType::kInt64;
       if (op_ == ArithOp::kDiv) {
         double rv = r.AsNumeric();
@@ -112,8 +112,8 @@ bool Expr::EvalBatch(TupleBatch& batch, std::vector<int64_t>* out) const {
     case Kind::kArith: {
       if (op_ == ArithOp::kDiv) return false;  // always double, may error
       std::vector<int64_t> rhs;
-      if (!children_[0]->EvalBatch(batch, out)) return false;
-      if (!children_[1]->EvalBatch(batch, &rhs)) return false;
+      if (!children_[0].EvalBatch(batch, out)) return false;
+      if (!children_[1].EvalBatch(batch, &rhs)) return false;
       int64_t* a = out->data();
       const int64_t* b = rhs.data();
       switch (op_) {
@@ -145,8 +145,8 @@ Result<ValueType> Expr::ResultType(const Schema& input) const {
       return constant_.type();
     case Kind::kArith: {
       if (op_ == ArithOp::kDiv) return ValueType::kDouble;
-      AURORA_ASSIGN_OR_RETURN(ValueType l, children_[0]->ResultType(input));
-      AURORA_ASSIGN_OR_RETURN(ValueType r, children_[1]->ResultType(input));
+      AURORA_ASSIGN_OR_RETURN(ValueType l, children_[0].ResultType(input));
+      AURORA_ASSIGN_OR_RETURN(ValueType r, children_[1].ResultType(input));
       if (l == ValueType::kInt64 && r == ValueType::kInt64) {
         return ValueType::kInt64;
       }
@@ -173,8 +173,8 @@ std::string Expr::ToString() const {
                        : op_ == ArithOp::kSub ? "-"
                        : op_ == ArithOp::kMul ? "*"
                                               : "/";
-      return "(" + children_[0]->ToString() + " " + op + " " +
-             children_[1]->ToString() + ")";
+      return "(" + children_[0].ToString() + " " + op + " " +
+             children_[1].ToString() + ")";
     }
   }
   return "?";
@@ -191,8 +191,8 @@ void Expr::Encode(Encoder* enc) const {
       break;
     case Kind::kArith:
       enc->PutU8(static_cast<uint8_t>(op_));
-      children_[0]->Encode(enc);
-      children_[1]->Encode(enc);
+      children_[0].Encode(enc);
+      children_[1].Encode(enc);
       break;
   }
 }

@@ -1,7 +1,6 @@
 #ifndef AURORA_OPS_EXPR_H_
 #define AURORA_OPS_EXPR_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,13 +69,15 @@ class Expr {
   std::string field_;
   Value constant_;
   ArithOp op_ = ArithOp::kAdd;
-  std::vector<std::shared_ptr<const Expr>> children_;
+  // kArith operands, held by value: a copy of the expression (one per box
+  // built from a spec) owns its whole tree.
+  std::vector<Expr> children_;
 
-  /// Bound-once field cache (kField only). Mutable because expression trees
-  /// are shared through shared_ptr<const Expr>; the engine is
-  /// single-threaded, so caching through const is safe. Holding the
-  /// SchemaPtr (not a raw pointer) keeps the identity comparison in Eval
-  /// immune to a freed schema's address being reused.
+  /// Bound-once field cache (kField only). Mutable so that Eval, which is
+  /// const, can re-bind. Safe under the threaded engine because each box
+  /// owns its expression trees and a box runs on one thread at a time.
+  /// Holding the SchemaPtr (not a raw pointer) keeps the identity comparison
+  /// in Eval immune to a freed schema's address being reused.
   mutable SchemaPtr bound_schema_;
   mutable size_t bound_index_ = 0;
 };

@@ -1,8 +1,5 @@
 #include "ops/predicate.h"
 
-#include <algorithm>
-#include <string_view>
-
 #include "common/logging.h"
 
 namespace aurora {
@@ -39,23 +36,23 @@ Predicate Predicate::Compare(std::string field, CompareOp op, Value constant) {
 Predicate Predicate::And(Predicate a, Predicate b) {
   Predicate p;
   p.kind_ = Kind::kAnd;
-  p.children_.push_back(std::make_shared<const Predicate>(std::move(a)));
-  p.children_.push_back(std::make_shared<const Predicate>(std::move(b)));
+  p.children_.push_back(std::move(a));
+  p.children_.push_back(std::move(b));
   return p;
 }
 
 Predicate Predicate::Or(Predicate a, Predicate b) {
   Predicate p;
   p.kind_ = Kind::kOr;
-  p.children_.push_back(std::make_shared<const Predicate>(std::move(a)));
-  p.children_.push_back(std::make_shared<const Predicate>(std::move(b)));
+  p.children_.push_back(std::move(a));
+  p.children_.push_back(std::move(b));
   return p;
 }
 
 Predicate Predicate::Not(Predicate a) {
   Predicate p;
   p.kind_ = Kind::kNot;
-  p.children_.push_back(std::make_shared<const Predicate>(std::move(a)));
+  p.children_.push_back(std::move(a));
   return p;
 }
 
@@ -84,8 +81,8 @@ Status Predicate::Bind(const SchemaPtr& input) const {
     case Kind::kAnd:
     case Kind::kOr:
     case Kind::kNot:
-      for (const auto& child : children_) {
-        AURORA_RETURN_NOT_OK(child->Bind(input));
+      for (const Predicate& child : children_) {
+        AURORA_RETURN_NOT_OK(child.Bind(input));
       }
       return Status::OK();
   }
@@ -125,11 +122,11 @@ bool Predicate::Eval(const Tuple& t) const {
       return false;
     }
     case Kind::kAnd:
-      return children_[0]->Eval(t) && children_[1]->Eval(t);
+      return children_[0].Eval(t) && children_[1].Eval(t);
     case Kind::kOr:
-      return children_[0]->Eval(t) || children_[1]->Eval(t);
+      return children_[0].Eval(t) || children_[1].Eval(t);
     case Kind::kNot:
-      return !children_[0]->Eval(t);
+      return !children_[0].Eval(t);
     case Kind::kHash:
       return modulus_ != 0 && FieldValue(t).Hash() % modulus_ == remainder_;
   }
@@ -138,149 +135,50 @@ bool Predicate::Eval(const Tuple& t) const {
 
 namespace {
 
-// Applies `op` to the Value::Compare-style three-way result of each column
-// entry vs the constant. Going through the explicit cmp (rather than the
-// raw C++ operator) keeps NaN ordering identical to Value::Compare, which
-// treats an incomparable pair as "greater".
-template <typename ColT, typename CmpT>
-void FillCompareColumn(const ColT* col, CmpT c, size_t n, CompareOp op,
-                       std::vector<uint8_t>* out) {
-  auto fill = [&](auto holds) {
-    for (size_t i = 0; i < n; ++i) {
-      CmpT a = static_cast<CmpT>(col[i]);
-      int cmp = a == c ? 0 : (a < c ? -1 : 1);
-      (*out)[i] = holds(cmp) ? 1 : 0;
-    }
-  };
+// The one columnar kernel shape: an int64 column against an int64 constant.
+// Value::Compare orders two int64 values as plain integers, so each C++
+// comparison gives Eval's verdict.
+void FillCompareI64(const int64_t* col, int64_t c, size_t n, CompareOp op,
+                    uint8_t* out) {
   switch (op) {
     case CompareOp::kEq:
-      fill([](int x) { return x == 0; });
+      for (size_t i = 0; i < n; ++i) out[i] = col[i] == c;
       break;
     case CompareOp::kNe:
-      fill([](int x) { return x != 0; });
+      for (size_t i = 0; i < n; ++i) out[i] = col[i] != c;
       break;
     case CompareOp::kLt:
-      fill([](int x) { return x < 0; });
+      for (size_t i = 0; i < n; ++i) out[i] = col[i] < c;
       break;
     case CompareOp::kLe:
-      fill([](int x) { return x <= 0; });
+      for (size_t i = 0; i < n; ++i) out[i] = col[i] <= c;
       break;
     case CompareOp::kGt:
-      fill([](int x) { return x > 0; });
+      for (size_t i = 0; i < n; ++i) out[i] = col[i] > c;
       break;
     case CompareOp::kGe:
-      fill([](int x) { return x >= 0; });
-      break;
-  }
-}
-
-// String-vs-string column compare. string_view::compare has the same sign
-// semantics as the std::string::compare Value::Compare uses for two kString
-// values, and the predicate tests the sign only, so this is bit-equivalent
-// to per-tuple Eval on an all-string column.
-void FillCompareStrColumn(const std::string_view* col, std::string_view c,
-                          size_t n, CompareOp op, std::vector<uint8_t>* out) {
-  auto fill = [&](auto holds) {
-    for (size_t i = 0; i < n; ++i) {
-      (*out)[i] = holds(col[i].compare(c)) ? 1 : 0;
-    }
-  };
-  switch (op) {
-    case CompareOp::kEq:
-      fill([](int x) { return x == 0; });
-      break;
-    case CompareOp::kNe:
-      fill([](int x) { return x != 0; });
-      break;
-    case CompareOp::kLt:
-      fill([](int x) { return x < 0; });
-      break;
-    case CompareOp::kLe:
-      fill([](int x) { return x <= 0; });
-      break;
-    case CompareOp::kGt:
-      fill([](int x) { return x > 0; });
-      break;
-    case CompareOp::kGe:
-      fill([](int x) { return x >= 0; });
+      for (size_t i = 0; i < n; ++i) out[i] = col[i] >= c;
       break;
   }
 }
 
 }  // namespace
 
-bool Predicate::CompareBatchColumns(TupleBatch& batch,
-                                    std::vector<uint8_t>* out) const {
-  const ValueType ct = constant_.type();
-  if (ct != ValueType::kInt64 && ct != ValueType::kDouble &&
-      ct != ValueType::kString) {
-    return false;
-  }
-  if (!batch.uniform_schema() || batch.schema() == nullptr) return false;
-  if (batch.schema().get() != bound_schema_.get()) {
-    // Same lazy rebind (and same abort on a missing field) as FieldValue.
-    Status bound = Bind(batch.schema());
-    AURORA_CHECK(bound.ok()) << bound.ToString();
-  }
-  const size_t n = batch.size();
-  if (ct == ValueType::kString) {
-    // Same-type compares only: a non-string value in the column makes
-    // Value::Compare order by type rank, so mixed columns stay per-tuple.
-    if (const std::string_view* col = batch.StrColumn(bound_index_)) {
-      FillCompareStrColumn(col, std::string_view(constant_.AsString()), n,
-                           op_, out);
-      return true;
-    }
-    return false;
-  }
-  if (const int64_t* col = batch.I64Column(bound_index_)) {
-    if (ct == ValueType::kInt64) {
-      FillCompareColumn(col, constant_.AsInt(), n, op_, out);
-    } else {
-      FillCompareColumn(col, constant_.AsDouble(), n, op_, out);
-    }
-    return true;
-  }
-  if (const double* col = batch.F64Column(bound_index_)) {
-    FillCompareColumn(col, constant_.AsNumeric(), n, op_, out);
-    return true;
-  }
-  return false;
-}
-
 void Predicate::EvalBatch(TupleBatch& batch, std::vector<uint8_t>* out) const {
   const size_t n = batch.size();
-  out->assign(n, 0);
+  out->resize(n);
   if (n == 0) return;
-  switch (kind_) {
-    case Kind::kTrue:
-      std::fill(out->begin(), out->end(), 1);
-      return;
-    case Kind::kCompare:
-      if (CompareBatchColumns(batch, out)) return;
-      break;  // non-numeric column/constant: per-tuple fallback below
-    case Kind::kAnd: {
-      // Eval's && short-circuit is unobservable (children are pure modulo
-      // the idempotent bind cache), so both sides evaluate batch-wise.
-      std::vector<uint8_t> rhs;
-      children_[0]->EvalBatch(batch, out);
-      children_[1]->EvalBatch(batch, &rhs);
-      for (size_t i = 0; i < n; ++i) (*out)[i] &= rhs[i];
+  if (kind_ == Kind::kCompare && constant_.type() == ValueType::kInt64 &&
+      batch.uniform_schema() && batch.schema() != nullptr) {
+    if (batch.schema().get() != bound_schema_.get()) {
+      // Same lazy rebind (and same abort on a missing field) as FieldValue.
+      Status bound = Bind(batch.schema());
+      AURORA_CHECK(bound.ok()) << bound.ToString();
+    }
+    if (const int64_t* col = batch.I64Column(bound_index_)) {
+      FillCompareI64(col, constant_.AsInt(), n, op_, out->data());
       return;
     }
-    case Kind::kOr: {
-      std::vector<uint8_t> rhs;
-      children_[0]->EvalBatch(batch, out);
-      children_[1]->EvalBatch(batch, &rhs);
-      for (size_t i = 0; i < n; ++i) (*out)[i] |= rhs[i];
-      return;
-    }
-    case Kind::kNot:
-      children_[0]->EvalBatch(batch, out);
-      for (size_t i = 0; i < n; ++i) (*out)[i] ^= 1;
-      return;
-    case Kind::kHash:
-      break;  // hashes the full Value; stays per-tuple
   }
   for (size_t i = 0; i < n; ++i) (*out)[i] = Eval(batch.tuple(i)) ? 1 : 0;
 }
@@ -296,7 +194,7 @@ void Predicate::CollectFields(std::set<std::string>* fields) const {
     case Kind::kAnd:
     case Kind::kOr:
     case Kind::kNot:
-      for (const auto& child : children_) child->CollectFields(fields);
+      for (const Predicate& child : children_) child.CollectFields(fields);
       break;
   }
 }
@@ -308,13 +206,13 @@ std::string Predicate::ToString() const {
     case Kind::kCompare:
       return field_ + " " + CompareOpName(op_) + " " + constant_.ToString();
     case Kind::kAnd:
-      return "(" + children_[0]->ToString() + " && " + children_[1]->ToString() +
+      return "(" + children_[0].ToString() + " && " + children_[1].ToString() +
              ")";
     case Kind::kOr:
-      return "(" + children_[0]->ToString() + " || " + children_[1]->ToString() +
+      return "(" + children_[0].ToString() + " || " + children_[1].ToString() +
              ")";
     case Kind::kNot:
-      return "!(" + children_[0]->ToString() + ")";
+      return "!(" + children_[0].ToString() + ")";
     case Kind::kHash:
       return "hash(" + field_ + ") % " + std::to_string(modulus_) +
              " == " + std::to_string(remainder_);
@@ -334,11 +232,11 @@ void Predicate::Encode(Encoder* enc) const {
       break;
     case Kind::kAnd:
     case Kind::kOr:
-      children_[0]->Encode(enc);
-      children_[1]->Encode(enc);
+      children_[0].Encode(enc);
+      children_[1].Encode(enc);
       break;
     case Kind::kNot:
-      children_[0]->Encode(enc);
+      children_[0].Encode(enc);
       break;
     case Kind::kHash:
       enc->PutString(field_);

@@ -1,7 +1,6 @@
 #ifndef AURORA_OPS_PREDICATE_H_
 #define AURORA_OPS_PREDICATE_H_
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -51,12 +50,11 @@ class Predicate {
 
   /// Vectorized Eval over a whole batch: fills `out` (sized to
   /// batch.size()) with 0/1 per tuple, matching per-tuple Eval bit for bit.
-  /// Numeric and string comparisons loop over the batch's columnar scratch
-  /// when available (strings via TupleBatch::StrColumn's pooled views);
-  /// everything else (hash partitions, bool/null constants, non-uniform or
-  /// type-mixed columns) falls back to per-tuple Eval internally, so callers
-  /// never need a scalar path of their own. Uses only stack scratch — safe
-  /// on shared predicate trees under the threaded engine.
+  /// One shape loops over the batch's columnar scratch: an int64 field
+  /// compared with an int64 constant, the filter the benchmark runs.
+  /// Everything else (and/or/not trees, hash partitions, double, string,
+  /// bool and null constants, non-uniform or type-mixed columns) runs Eval
+  /// per tuple here, so callers never need a scalar path of their own.
   void EvalBatch(TupleBatch& batch, std::vector<uint8_t>* out) const;
 
   /// Logical complement; used to route the "other" half after a box split.
@@ -87,23 +85,18 @@ class Predicate {
   Value constant_;
   uint32_t modulus_ = 0;
   uint32_t remainder_ = 0;
-  // kAnd / kOr / kNot children:
-  std::vector<std::shared_ptr<const Predicate>> children_;
+  // kAnd / kOr / kNot children, held by value: a copy of the predicate (one
+  // per box built from a spec) owns its whole tree.
+  std::vector<Predicate> children_;
 
   /// The tuple's field value this leaf reads, via the bound-once index
   /// cache (kCompare / kHash only).
   const Value& FieldValue(const Tuple& t) const;
 
-  /// Columnar kCompare: true (and fills `out`) only when the batch exposes
-  /// a numeric or string column for the bound field and the constant has a
-  /// matching type class (numeric column vs numeric constant, string column
-  /// vs string constant).
-  bool CompareBatchColumns(TupleBatch& batch, std::vector<uint8_t>* out) const;
-
-  /// Bound-once field cache (kCompare / kHash). Mutable because predicate
-  /// trees are shared through shared_ptr<const Predicate>; the engine is
-  /// single-threaded, so caching through const is safe. Holding the
-  /// SchemaPtr (not a raw pointer) keeps the identity comparison in Eval
+  /// Bound-once field cache (kCompare / kHash). Mutable so that Eval, which
+  /// is const, can re-bind. Safe under the threaded engine because each box
+  /// owns its predicate tree and a box runs on one thread at a time. Holding
+  /// the SchemaPtr (not a raw pointer) keeps the identity comparison in Eval
   /// immune to a freed schema's address being reused.
   mutable SchemaPtr bound_schema_;
   mutable size_t bound_index_ = 0;

@@ -6,12 +6,8 @@ void TupleBatch::Clear() {
   tuples_.clear();
   nows_.clear();
   for (Column& c : cols_) {
-    c.built_i64 = false;
-    c.ok_i64 = false;
-    c.built_f64 = false;
-    c.ok_f64 = false;
-    c.built_str = false;
-    c.ok_str = false;
+    c.built = false;
+    c.ok = false;
   }
   uniform_ = true;
 }
@@ -21,53 +17,17 @@ const int64_t* TupleBatch::I64Column(size_t field) {
   if (field >= tuples_.front().num_values()) return nullptr;
   if (cols_.size() <= field) cols_.resize(field + 1);
   Column& c = cols_[field];
-  if (c.built_i64) return c.ok_i64 ? c.i64.data() : nullptr;
-  c.built_i64 = true;
+  if (c.built) return c.ok ? c.i64.data() : nullptr;
+  c.built = true;
   c.i64.clear();
   c.i64.reserve(tuples_.size());
   for (const Tuple& t : tuples_) {
     const Value& v = t.value(field);
-    if (v.type() != ValueType::kInt64) return nullptr;  // ok_i64 stays false
+    if (v.type() != ValueType::kInt64) return nullptr;  // ok stays false
     c.i64.push_back(v.AsInt());
   }
-  c.ok_i64 = true;
+  c.ok = true;
   return c.i64.data();
-}
-
-const double* TupleBatch::F64Column(size_t field) {
-  if (tuples_.empty() || !uniform_ || schema() == nullptr) return nullptr;
-  if (field >= tuples_.front().num_values()) return nullptr;
-  if (cols_.size() <= field) cols_.resize(field + 1);
-  Column& c = cols_[field];
-  if (c.built_f64) return c.ok_f64 ? c.f64.data() : nullptr;
-  c.built_f64 = true;
-  c.f64.clear();
-  c.f64.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) {
-    const Value& v = t.value(field);
-    if (v.type() != ValueType::kDouble) return nullptr;  // ok_f64 stays false
-    c.f64.push_back(v.AsDouble());
-  }
-  c.ok_f64 = true;
-  return c.f64.data();
-}
-
-const std::string_view* TupleBatch::StrColumn(size_t field) {
-  if (tuples_.empty() || !uniform_ || schema() == nullptr) return nullptr;
-  if (field >= tuples_.front().num_values()) return nullptr;
-  if (cols_.size() <= field) cols_.resize(field + 1);
-  Column& c = cols_[field];
-  if (c.built_str) return c.ok_str ? c.str.data() : nullptr;
-  c.built_str = true;
-  c.str.clear();
-  c.str.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) {
-    const Value& v = t.value(field);
-    if (v.type() != ValueType::kString) return nullptr;  // ok_str stays false
-    c.str.push_back(std::string_view(v.AsString()));
-  }
-  c.ok_str = true;
-  return c.str.data();
 }
 
 }  // namespace aurora

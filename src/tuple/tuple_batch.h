@@ -2,7 +2,6 @@
 #define AURORA_TUPLE_TUPLE_BATCH_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -21,16 +20,15 @@ namespace aurora {
 /// per-tuple Process calls would have produced, which is what the
 /// batch-vs-scalar equivalence suite gates.
 ///
-/// Columnar scratch: for fixed-width fields (int64 / double) of a
-/// schema-uniform batch, I64Column / F64Column materialize the field as a
-/// contiguous array once per batch, so Predicate::EvalBatch and
-/// Expr::EvalBatch loop over raw machine values instead of re-dispatching
-/// through the Value variant per tuple. Columns are built on first request
-/// (only fields an expression actually reads pay the gather) and cached for
-/// the batch's lifetime; Clear() drops them but keeps capacity, so a batch
-/// reused across activations stops allocating once warm. Anything
-/// non-fixed-width (strings, nulls, mixed schemas) simply yields nullptr and
-/// callers fall back to the per-tuple path.
+/// Columnar scratch: for an int64 field of a schema-uniform batch, I64Column
+/// materializes the field as a contiguous array once per batch, so
+/// Predicate::EvalBatch and Expr::EvalBatch loop over raw machine values
+/// instead of re-dispatching through the Value variant per tuple. Columns are
+/// built on first request (only fields an expression actually reads pay the
+/// gather) and cached for the batch's lifetime; Clear() drops them but keeps
+/// capacity, so a batch reused across activations stops allocating once
+/// warm. Any other field (doubles, strings, nulls, mixed schemas) yields
+/// nullptr and callers fall back to the per-tuple path.
 class TupleBatch {
  public:
   TupleBatch() = default;
@@ -77,25 +75,12 @@ class TupleBatch {
   /// nullptr when the field is not int64 across the whole batch (or the
   /// batch is empty / not schema-uniform). Pointer valid until Clear().
   const int64_t* I64Column(size_t field);
-  /// Same for double fields.
-  const double* F64Column(size_t field);
-  /// Pooled string views for field `field`, one per tuple, or nullptr when
-  /// the field is not a string across the whole batch. Each view aliases the
-  /// owning tuple's refcounted body — no bytes are copied — so views stay
-  /// valid exactly as long as the columns do: until Clear().
-  const std::string_view* StrColumn(size_t field);
 
  private:
   struct Column {
-    bool built_i64 = false;
-    bool ok_i64 = false;
-    bool built_f64 = false;
-    bool ok_f64 = false;
-    bool built_str = false;
-    bool ok_str = false;
+    bool built = false;
+    bool ok = false;
     std::vector<int64_t> i64;
-    std::vector<double> f64;
-    std::vector<std::string_view> str;
   };
 
   std::vector<Tuple> tuples_;

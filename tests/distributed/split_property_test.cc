@@ -26,20 +26,12 @@ struct SplitCase {
   uint64_t seed;
 };
 
-std::string CaseName(const ::testing::TestParamInfo<SplitCase>& info) {
-  const SplitCase& c = info.param;
-  std::string name = std::string(c.agg) +
-                     (c.predicate == PredicateKind::kContent ? "_content"
-                                                             : "_hash") +
-                     "_skew" + std::to_string(static_cast<int>(c.zipf_skew * 10)) +
-                     "_n" + std::to_string(c.tuples) + "_at" +
-                     std::to_string(c.split_after);
-  return name;
-}
-
 // Test listings name a case, not its bytes.
 void PrintTo(const SplitCase& c, std::ostream* os) {
-  *os << CaseName(::testing::TestParamInfo<SplitCase>(c, 0));
+  *os << c.agg
+      << (c.predicate == PredicateKind::kContent ? "_content" : "_hash")
+      << "_skew" << static_cast<int>(c.zipf_skew * 10) << "_n" << c.tuples
+      << "_at" << c.split_after;
 }
 
 class SplitTransparencyTest : public ::testing::TestWithParam<SplitCase> {};
@@ -191,7 +183,7 @@ std::vector<SplitCase> MakeSplitCases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SplitTransparencyTest,
-                         ::testing::ValuesIn(MakeSplitCases()), CaseName);
+                         ::testing::ValuesIn(MakeSplitCases()));
 
 }  // namespace
 }  // namespace aurora

@@ -174,10 +174,7 @@ INSTANTIATE_TEST_SUITE_P(
                    {0, 1}},
                   1, 3},
         ChunkCase{"Union3_AllEmpty_MidRound", 64, 64, {0, kUnconnected, 0},
-                  1, {{1, 1}, {2, 1}, {0, 1}}, 1, 0}),
-    [](const ::testing::TestParamInfo<ChunkCase>& info) {
-      return info.param.name;
-    });
+                  1, {{1, 1}, {2, 1}, {0, 1}}, 1, 0}));
 
 // A failing row does not stop the activation: the rest of its chunk and
 // every later chunk still run, the first error lands in the slot, and an

@@ -178,11 +178,8 @@ TEST_P(QueryNetworkRejectTest, Rejects) {
   EXPECT_EQ(st.code(), GetParam().want) << st.ToString();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Table, QueryNetworkRejectTest, ::testing::ValuesIn(RejectCases()),
-    [](const ::testing::TestParamInfo<RejectCase>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(Table, QueryNetworkRejectTest,
+                         ::testing::ValuesIn(RejectCases()));
 
 // in -> a -> {b, c} -> d(union) -> out, plus a dead-end e off a: distances
 // take the shortest path, and a box with no route to an output keeps the

@@ -495,12 +495,8 @@ TEST_P(PolicyPickTest, StepsMatchReferencePicks) {
   }
 }
 
-std::string PolicyName(const ::testing::TestParamInfo<SchedulerPolicy>& info) {
-  return ::testing::PrintToString(info.param);
-}
-
 INSTANTIATE_TEST_SUITE_P(Policies, PolicyPickTest,
-                         ::testing::ValuesIn(kPickPolicies), PolicyName);
+                         ::testing::ValuesIn(kPickPolicies));
 
 // The threaded runtime's version of the same invariant: an ingest thread
 // pushes irregular bursts into a wide network while four workers run (and

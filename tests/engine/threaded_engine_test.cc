@@ -1,12 +1,14 @@
 // ThreadedEngine runtime: per-arc FIFO determinism on linear chains,
 // fan-out delivery, help-on-full backpressure with tiny rings, stateful
-// operators vs the single-threaded oracle, deferred operator errors, and
-// the ring multi-push (TryPushN) edge cases chunked batch emission leans
-// on: wraparound-spanning reserves, chunks larger than the ring, and a
+// operators vs the single-threaded oracle, deferred operator errors, boxes
+// built from one spec on differently ordered schemas, and the ring
+// multi-push (TryPushN) edge cases chunked batch emission leans on:
+// wraparound-spanning reserves, chunks larger than the ring, and a
 // concurrent multi-push/pop oracle (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -435,6 +437,93 @@ TEST(ThreadedEngineTest, MapOutputInheritsTraceIdAtEveryBatchSize) {
           << "batch=" << batch << " row " << i;
     }
   }
+}
+
+// Runs two boxes added from one `spec` in a 2-worker engine. One input
+// carries (A, B), the other the same fields in the order (B, A), as separate
+// schemas; one pusher thread per input sends `n` tuples with A = 1000 + i and
+// B = i % 1000. Returns, per box, how many rows came out and how many of them
+// `wrong` rejects. Reading a field at the index bound for the other box's
+// schema swaps A and B.
+struct TwinCounts {
+  int rows[2] = {0, 0};
+  int wrong[2] = {0, 0};
+};
+
+TwinCounts RunTwinBoxes(const OperatorSpec& spec, int n,
+                        std::function<bool(const Tuple&)> wrong) {
+  const SchemaPtr schemas[2] = {
+      SchemaAB(), Schema::Make({Field{"B", ValueType::kInt64},
+                                Field{"A", ValueType::kInt64}})};
+  ThreadedEngineOptions opts;
+  opts.workers = 2;
+  ThreadedEngine engine(opts);
+  TwinCounts counts;
+  PortId ins[2];
+  for (int k = 0; k < 2; ++k) {
+    ins[k] = *engine.AddInput("in" + std::to_string(k), schemas[k]);
+    PortId out = *engine.AddOutput("out" + std::to_string(k));
+    BoxId box = *engine.AddBox(spec);
+    AURORA_CHECK(engine.Connect(Endpoint::InputPort(ins[k]),
+                                Endpoint::BoxPort(box, 0)).ok());
+    AURORA_CHECK(engine.Connect(Endpoint::BoxPort(box, 0),
+                                Endpoint::OutputPort(out)).ok());
+    // Guarded by the output's mutex.
+    engine.SetOutputCallback(out,
+                             [&counts, &wrong, k](const Tuple& t, SimTime) {
+                               ++counts.rows[k];
+                               if (wrong(t)) ++counts.wrong[k];
+                             });
+  }
+  AURORA_CHECK(engine.InitializeBoxes().ok());
+  AURORA_CHECK(engine.Start().ok());
+  std::vector<std::thread> pushers;
+  for (int k = 0; k < 2; ++k) {
+    pushers.emplace_back([&, k] {
+      for (int i = 0; i < n; ++i) {
+        Value a(int64_t{1000} + i), b(int64_t{i % 1000});
+        Tuple t = k == 0 ? MakeTuple(schemas[0], {a, b})
+                         : MakeTuple(schemas[1], {b, a});
+        Status st = engine.PushInput(ins[k], std::move(t), SimTime());
+        AURORA_CHECK(st.ok()) << st.ToString();
+      }
+    });
+  }
+  for (std::thread& t : pushers) t.join();
+  engine.WaitQuiescent();
+  AURORA_CHECK(engine.Stop().ok());
+  return counts;
+}
+
+// Boxes built from one spec own separate predicate trees: each binds its
+// leaves to its own input schema, so every tuple passes in both boxes.
+TEST(ThreadedEngineTest, FilterBoxesFromOneSpecReadTheirOwnFields) {
+  const int kN = 20000;
+  OperatorSpec spec = FilterSpec(Predicate::And(
+      Predicate::Compare("A", CompareOp::kGe, Value(int64_t{1000})),
+      Predicate::Compare("B", CompareOp::kLt, Value(int64_t{1000}))));
+  TwinCounts counts =
+      RunTwinBoxes(spec, kN, [](const Tuple&) { return false; });
+  EXPECT_EQ(counts.rows[0], kN);
+  EXPECT_EQ(counts.rows[1], kN);
+}
+
+// Same for expression trees: D = A - B is positive in every row of both
+// boxes (a swapped read makes it negative).
+TEST(ThreadedEngineTest, MapBoxesFromOneSpecReadTheirOwnFields) {
+  const int kN = 20000;
+  OperatorSpec spec = MapSpec(
+      {{"A", Expr::FieldRef("A")},
+       {"B", Expr::FieldRef("B")},
+       {"D", Expr::Arith(ArithOp::kSub, Expr::FieldRef("A"),
+                         Expr::FieldRef("B"))}});
+  TwinCounts counts = RunTwinBoxes(spec, kN, [](const Tuple& t) {
+    return t.value(2).AsInt() != t.value(0).AsInt() - t.value(1).AsInt();
+  });
+  EXPECT_EQ(counts.rows[0], kN);
+  EXPECT_EQ(counts.rows[1], kN);
+  EXPECT_EQ(counts.wrong[0], 0);
+  EXPECT_EQ(counts.wrong[1], 0);
 }
 
 TEST(ThreadedEngineTest, StartRejectsUninitializedBoxes) {

@@ -616,7 +616,7 @@ TEST_P(BatchOracleTest, FilterTwoWay) {
 TEST_P(BatchOracleTest, FilterBooleanTree) {
   const auto& c = GetParam();
   const SchemaPtr schema = SchemaAB();
-  // And/Or/Not over compares: exercises the vectorized combine loops.
+  // And/Or/Not over compares: EvalBatch runs trees through per-tuple Eval.
   Predicate p = Predicate::Or(
       Predicate::And(
           Predicate::Compare("A", CompareOp::kGt, Value(int64_t{10})),
@@ -631,7 +631,7 @@ TEST_P(BatchOracleTest, FilterBooleanTree) {
 TEST_P(BatchOracleTest, FilterDoubleConstantAgainstIntColumn) {
   const auto& c = GetParam();
   const SchemaPtr schema = SchemaAB();
-  // Mixed-numeric compare goes through the AsNumeric column path.
+  // A double constant is not the int64 kernel's shape: per-tuple Eval.
   CheckAllBatchSizes(
       FilterSpec(Predicate::Compare("A", CompareOp::kGt, Value(24.5))),
       schema, BatchStream(schema, c.seed + 3, c.n, 50, -100, 100), false);
@@ -753,6 +753,24 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BatchOracleTest,
                                            BatchOpCase{"odd", 71, 13},
                                            BatchOpCase{"mid", 72, 129},
                                            BatchOpCase{"big", 73, 500}));
+
+TEST(BatchOracleInt64Test, FilterInt64CompareMatchesScalar) {
+  // Int64 field vs int64 constant: EvalBatch's one columnar kernel, every
+  // operator, odd-tail and wide batch sizes. A spans 0..9, so the constant
+  // falls below, on and above the column's values in every run.
+  const SchemaPtr schema = SchemaAB();
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    for (int batch_size : {1, 7, 64}) {
+      std::string diff = BatchOracleDiff(
+          FilterSpec(Predicate::Compare("A", op, Value(int64_t{5}))), schema,
+          BatchStream(schema, 98, 113, 9, -100, 100), batch_size, false);
+      EXPECT_TRUE(diff.empty())
+          << "op=" << CompareOpName(op) << " batch=" << batch_size << "\n"
+          << diff;
+    }
+  }
+}
 
 // Multi-input boxes never get batch-dequeued by the schedulers, but the
 // base-class ProcessBatch must still be emission-equivalent per input.
@@ -877,7 +895,7 @@ TEST(BatchOracleMultiInputTest, JoinRepeatedProbesMatchScalar) {
   EXPECT_EQ(run(false), run(true));
 }
 
-// ---- String-schema vectorization (TupleBatch::StrColumn) -----------------
+// ---- String-schema batches -----------------------------------------------
 
 SchemaPtr SchemaSB() {
   return Schema::Make(
@@ -904,21 +922,8 @@ std::vector<Tuple> StringStream(const SchemaPtr& schema, uint64_t seed,
   return tuples;
 }
 
-TEST(BatchOracleStringTest, StrColumnExposesPooledViews) {
-  std::vector<Tuple> tuples = StringStream(SchemaSB(), 97, 9);
-  TupleBatch batch;
-  for (const Tuple& t : tuples) batch.Push(t, t.timestamp());
-  const std::string_view* col = batch.StrColumn(0);
-  ASSERT_NE(col, nullptr);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(col[i], std::string_view(tuples[i].value(0).AsString())) << i;
-  }
-  // The int field is not a string column.
-  EXPECT_EQ(batch.StrColumn(1), nullptr);
-}
-
 TEST(BatchOracleStringTest, FilterStringCompareMatchesScalar) {
-  // String column vs string constant: the vectorized compare path, every
+  // String field vs string constant: EvalBatch's per-tuple fallback, every
   // operator, odd-tail and wide batch sizes.
   const SchemaPtr schema = SchemaSB();
   for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,

@@ -205,11 +205,8 @@ TEST_P(OwnerLifetimeTest, CallbacksInFlightOutliveTheirOwner) {
   GetParam().check(rig);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Owners, OwnerLifetimeTest, ::testing::ValuesIn(kCases),
-    [](const ::testing::TestParamInfo<OwnerCase>& info) {
-      return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(Owners, OwnerLifetimeTest,
+                         ::testing::ValuesIn(kCases));
 
 }  // namespace
 }  // namespace aurora
